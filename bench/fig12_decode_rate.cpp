@@ -17,7 +17,12 @@
  * subject; at paper capacities H264's large live set would otherwise
  * dominate the metric with gateway stalls).
  *
- * Usage: fig12_decode_rate [--quick|--full|--scale=X] [--csv]
+ * Usage: fig12_decode_rate [--quick|--full|--scale=X] [--json]
+ *
+ * `--json` prints the grids as the BENCH_kernel.json section
+ * `fig12_quick_decode_rates` (`fig12_decode_rates` without --quick),
+ * {workload: {"TRSxORT": cycles_per_task}}, on stdout and the tables
+ * on stderr. bench/compare_bench.py gates the grid exactly.
  */
 
 #include <iostream>
@@ -30,15 +35,16 @@
 namespace
 {
 
+/** One panel: a table on @p os, the cells into @p grid. */
 void
 panel(const std::string &workload, double scale, std::uint64_t seed,
-      bool csv)
+      std::ostream &os, tss::JsonObject &grid)
 {
     const std::vector<unsigned> trs_counts = {1, 2, 4, 8, 16, 32, 64};
     const std::vector<unsigned> ort_counts = {1, 2, 4, 8};
 
     tss::TaskTrace trace = tss::makeWorkload(workload, scale, seed);
-    std::cout << workload << " (" << trace.size() << " tasks)\n";
+    os << workload << " (" << trace.size() << " tasks)\n";
 
     std::vector<std::string> header{"#TRS"};
     for (unsigned orts : ort_counts)
@@ -58,14 +64,13 @@ panel(const std::string &workload, double scale, std::uint64_t seed,
             tss::RunResult result = tss::runHardware(cfg, trace);
             row.push_back(
                 tss::TablePrinter::num(result.decodeRateCycles));
+            grid.set(std::to_string(trss) + "x" + std::to_string(orts),
+                     row.back());
         }
         table.addRow(row);
     }
-    if (csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
-    std::cout << "\n";
+    table.print(os);
+    os << "\n";
 }
 
 } // namespace
@@ -75,14 +80,24 @@ main(int argc, char **argv)
 {
     tss::CliArgs args(argc, argv);
     double scale = args.scale(0.05, 0.3, 0.15);
+    std::uint64_t seed = args.getLong("seed", 1);
+    bool json = args.has("json");
+    // With --json the tables go to stderr; stdout carries only JSON.
+    std::ostream &text = json ? std::cerr : std::cout;
 
-    std::cout << "Figure 12: task decode rate vs pipeline parallelism"
-              << " (scale=" << scale << ")\n\n";
-    panel("Cholesky", scale, args.getLong("seed", 1), args.has("csv"));
-    panel("H264", scale, args.getLong("seed", 1), args.has("csv"));
-
-    std::cout << "Paper reference: Cholesky ~185 cy at 4 TRS/4 ORT; "
-              << "H264 ~300 cy at the same point, ~700+ cy with one "
-              << "ORT.\n";
+    tss::JsonObject out;
+    tss::JsonObject &grids = out[args.has("quick")
+                                     ? "fig12_quick_decode_rates"
+                                     : "fig12_decode_rates"];
+    text << "Figure 12: task decode rate vs pipeline parallelism"
+         << " (scale=" << scale << ")\n\n";
+    panel("Cholesky", scale, seed, text, grids["Cholesky"]);
+    panel("H264", scale, seed, text, grids["H264"]);
+    text << "Paper reference: Cholesky ~185 cy at 4 TRS/4 ORT; "
+         << "H264 ~300 cy at the same point, ~700+ cy with one ORT.\n";
+    if (json) {
+        out.print(std::cout);
+        std::cout << "\n";
+    }
     return 0;
 }

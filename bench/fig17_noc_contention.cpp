@@ -38,7 +38,7 @@
  * Panel 3 sweeps --relocate-seed over the real-kernel programs: each
  * seeded layout is deterministic, but timing may shift between
  * layouts (addresses drive shardOf routing), so its rows are
- * *advisory* in BENCH_noc.json. The CSV also carries the pinned
+ * *advisory* in BENCH_noc.json. The JSON also carries the pinned
  * minimum-safe OVT bound (tests/ovt_bound.hh) as capture metadata;
  * the compare_bench selftest cross-checks it against the baseline.
  *
@@ -48,11 +48,15 @@
  * simulated metrics are deterministic, so CI gates them against
  * BENCH_noc.json via bench/compare_bench.py.
  *
- * Usage: fig17_noc_contention [--quick|--full] [--csv]
+ * Usage: fig17_noc_contention [--quick|--full] [--json]
  *        [--trace=off|tail|full]
  *        [--pipes=N] [--gen-threads=N] [--credits=N]
  *        [--relocate-seed=N] [--relocate-align=N] [--sim-threads=N]
  *        [--lookahead=global|matrix]
+ *
+ * `--json` prints the numbers as the BENCH_noc.json section
+ * `fig17_quick` (`fig17_full` without --quick) on stdout and the
+ * tables on stderr.
  *
  * `--sim-threads=N` drains every simulation on N host threads
  * (sim/sim_engine.hh); all simulated numbers are bit-identical for
@@ -170,7 +174,9 @@ main(int argc, char **argv)
     tss::CliArgs args(argc, argv);
     tss::RunOptions opts = tss::RunOptions::parse(args);
     bool quick = args.scale(0.0, 1.0, 1.0) < 0.5; // --quick selects 0
-    bool csv = args.has("csv");
+    bool json = args.has("json");
+    // With --json the tables go to stderr; stdout carries only JSON.
+    std::ostream &text = json ? std::cerr : std::cout;
     unsigned pipes = opts.pipes.value_or(4);
     unsigned gen_threads = opts.genThreads(8);
     unsigned credits = opts.credits.value_or(1);
@@ -215,25 +221,23 @@ main(int argc, char **argv)
         {tss::TopologyKind::Fixed, tss::PlacementKind::Adjacent, false},
     };
 
-    std::cout << "Figure 17: NoC topology x placement x batching on "
-              << "the sharded frontend\n(" << pipes << " pipelines, "
-              << gen_threads << " generating threads, "
-              << credits << " slice packet credits, shared data"
-              << (quick ? ", --quick" : "") << ")\n\n";
+    text << "Figure 17: NoC topology x placement x batching on "
+         << "the sharded frontend\n(" << pipes << " pipelines, "
+         << gen_threads << " generating threads, " << credits
+         << " slice packet credits, shared data"
+         << (quick ? ", --quick" : "") << ")\n\n";
 
     tss::TablePrinter table({"Program", "Topology", "Placement",
                              "Batch", "decode cy/task", "makespan",
                              "msgs", "lane-wait cy", "fill"});
-    if (csv) {
-        // Capture metadata: the minimum-safe OVT bound pinned by the
-        // OvtCapacity tests rides along in BENCH_noc.json so the
-        // compare_bench selftest can cross-check it.
-        std::cout << "meta,ovt_min_safe_slots_per_slice,"
-                  << tss::kMinSafeOvtSlotsPerSlice << "\n";
-        std::cout << "sweep,program,topology,placement,batch,tasks,"
-                  << "decode_cy,makespan,messages,lane_wait_cy,"
-                  << "batch_fill\n";
-    }
+    // The wide program's rows sit flat under the historical keys
+    // ("sweep", "ticket"); real-kernel rows nest by program under
+    // "real_sweep" / "real_ticket".
+    tss::JsonObject out;
+    auto section = [&out](const std::string &name,
+                          const std::string &prog) -> tss::JsonObject & {
+        return prog == "wide" ? out[name] : out["real_" + name][prog];
+    };
 
     for (const SweepProg &prog : programs) {
         std::map<std::string, double> decode;
@@ -254,27 +258,19 @@ main(int argc, char **argv)
             checkTopological(prog.trace, r, prog.name, pointKey(pt));
             decode[pointKey(pt)] = r.decodeRateCycles;
 
-            if (csv) {
-                std::cout << "sweep," << prog.name << ","
-                          << tss::toString(pt.topology) << ","
-                          << tss::toString(pt.placement) << ","
-                          << (pt.batch ? 1 : 0) << ","
-                          << prog.trace.size() << ","
-                          << r.decodeRateCycles << "," << r.makespan
-                          << "," << r.messagesOnNoc << ","
-                          << r.linkWaitCycles << "," << r.avgBatchFill
-                          << "\n";
-            } else {
-                table.addRow(
-                    {prog.name, tss::toString(pt.topology),
-                     tss::toString(pt.placement),
-                     pt.batch ? "on" : "off",
-                     tss::TablePrinter::num(r.decodeRateCycles),
-                     std::to_string(r.makespan),
-                     std::to_string(r.messagesOnNoc),
-                     std::to_string(r.linkWaitCycles),
-                     tss::TablePrinter::num(r.avgBatchFill)});
-            }
+            table.addRow({prog.name, tss::toString(pt.topology),
+                          tss::toString(pt.placement),
+                          pt.batch ? "on" : "off",
+                          tss::TablePrinter::num(r.decodeRateCycles),
+                          std::to_string(r.makespan),
+                          std::to_string(r.messagesOnNoc),
+                          std::to_string(r.linkWaitCycles),
+                          tss::TablePrinter::num(r.avgBatchFill)});
+            section("sweep", prog.name)[pointKey(pt)]
+                .set("decode_cy", r.decodeRateCycles)
+                .set("messages", r.messagesOnNoc)
+                .set("lane_wait_cy", r.linkWaitCycles)
+                .set("batch_fill", r.avgBatchFill);
         }
 
         // The acceptance shape, on the wide-task program: a
@@ -299,19 +295,14 @@ main(int argc, char **argv)
             ++failures;
         }
     }
-    if (!csv)
-        table.print(std::cout);
+    table.print(text);
 
     // ------------------------------------------------ ticket ablation
-    std::cout << "\nTicket-protocol cost (real ordered admission vs "
-              << "idealAdmission oracle, ring/adjacent)\n\n";
+    text << "\nTicket-protocol cost (real ordered admission vs "
+         << "idealAdmission oracle, ring/adjacent)\n\n";
     tss::TablePrinter ticket({"Program", "Pipes", "real cy/task",
                               "ideal cy/task", "overhead",
                               "deferrals"});
-    if (csv) {
-        std::cout << "ticket,program,pipes,decode_real_cy,"
-                  << "decode_ideal_cy,overhead_pct,deferrals\n";
-    }
 
     for (const SweepProg &prog : programs) {
         for (unsigned p : {1u, pipes}) {
@@ -340,21 +331,19 @@ main(int argc, char **argv)
             }
             double overhead =
                 ideal > 0 ? (real - ideal) / ideal * 100.0 : 0;
-            if (csv) {
-                std::cout << "ticket," << prog.name << "," << p << ","
-                          << real << "," << ideal << "," << overhead
-                          << "," << deferrals << "\n";
-            } else {
-                ticket.addRow({prog.name, std::to_string(p),
-                               tss::TablePrinter::num(real),
-                               tss::TablePrinter::num(ideal),
-                               tss::TablePrinter::num(overhead) + "%",
-                               std::to_string(deferrals)});
-            }
+            ticket.addRow({prog.name, std::to_string(p),
+                           tss::TablePrinter::num(real),
+                           tss::TablePrinter::num(ideal),
+                           tss::TablePrinter::num(overhead) + "%",
+                           std::to_string(deferrals)});
+            section("ticket", prog.name)[std::to_string(p)]
+                .set("decode_real_cy", real)
+                .set("decode_ideal_cy", ideal)
+                .set("overhead_pct", overhead)
+                .set("deferrals", deferrals);
         }
     }
-    if (!csv)
-        ticket.print(std::cout);
+    ticket.print(text);
 
     // -------------------------------------- relocation layout panel
     // Layout sensitivity of the relocated real-kernel rows: the same
@@ -364,14 +353,10 @@ main(int argc, char **argv)
     // legitimately shift with the layout (shardOf routing follows the
     // addresses), so these rows are *advisory* in BENCH_noc.json —
     // they document the spread, they do not gate.
-    std::cout << "\nRelocation layout sensitivity "
-              << "(--relocate-seed sweep, ring/adjacent)\n\n";
+    text << "\nRelocation layout sensitivity "
+         << "(--relocate-seed sweep, ring/adjacent)\n\n";
     tss::TablePrinter relocTable({"Program", "Seed", "decode cy/task",
                                   "makespan", "msgs"});
-    if (csv) {
-        std::cout << "relocate,program,seed,decode_cy,makespan,"
-                  << "messages\n";
-    }
     struct RelocProg
     {
         std::string name;
@@ -399,28 +384,34 @@ main(int argc, char **argv)
             checkTopological(trace, r, prog.name,
                              "relocate-seed " + std::to_string(seed));
 
-            if (csv) {
-                std::cout << "relocate," << prog.name << "," << seed
-                          << "," << r.decodeRateCycles << ","
-                          << r.makespan << "," << r.messagesOnNoc
-                          << "\n";
-            } else {
-                relocTable.addRow(
-                    {prog.name, std::to_string(seed),
-                     tss::TablePrinter::num(r.decodeRateCycles),
-                     std::to_string(r.makespan),
-                     std::to_string(r.messagesOnNoc)});
-            }
+            relocTable.addRow({prog.name, std::to_string(seed),
+                               tss::TablePrinter::num(r.decodeRateCycles),
+                               std::to_string(r.makespan),
+                               std::to_string(r.messagesOnNoc)});
+            out["relocate_sweep"][prog.name][std::to_string(seed)]
+                .set("decode_cy", r.decodeRateCycles)
+                .set("makespan", r.makespan)
+                .set("messages", r.messagesOnNoc);
         }
     }
-    if (!csv)
-        relocTable.print(std::cout);
+    relocTable.print(text);
+    if (json) {
+        // Capture metadata: the minimum-safe OVT bound pinned by the
+        // OvtCapacity tests, cross-checked by the compare_bench
+        // selftest.
+        out.set("ovt_min_safe_slots_per_slice",
+                tss::kMinSafeOvtSlotsPerSlice);
+        std::cout << "{\"" << (quick ? "fig17_quick" : "fig17_full")
+                  << "\": ";
+        out.print(std::cout);
+        std::cout << "}\n";
+    }
 
     if (failures) {
         std::cerr << "\n" << failures << " check(s) failed\n";
         return 1;
     }
-    std::cout << "\nAll start orders topological; sweep shape checks "
-              << "passed.\n";
+    text << "\nAll start orders topological; sweep shape checks "
+         << "passed.\n";
     return 0;
 }

@@ -23,7 +23,7 @@
  *    fingerprint in BENCH_sim.json tells a reader how to weigh them.
  *
  * Output is a JSON object on stdout (consumed by
- * `compare_bench.py capture-sim`); human-readable progress goes to
+ * `compare_bench.py capture`); human-readable progress goes to
  * stderr.
  *
  * Usage: fig18_sim_speedup [--quick|--full] [--pipes=N]

@@ -105,11 +105,6 @@ main(int argc, char **argv)
               << "% busy, batches " << hw.operandBatches
               << ", deferrals " << hw.decodeDeferrals << "\n";
 
-    if (args.has("modstats")) {
-        std::cout << "\n";
-        sys->dumpStats(std::cout);
-    }
-
     if (args.has("sw")) {
         tss::SwRuntimeConfig sw_cfg;
         sw_cfg.numCores = cores;

@@ -38,7 +38,6 @@ class Scheduler : public FrontendModule
 
     std::size_t queuedTasks() const { return readyq.size(); }
     std::uint64_t tasksDispatched() const { return dispatched.value(); }
-    const Distribution &queueDepthStat() const { return queueDepth; }
 
   protected:
     Service
@@ -48,7 +47,6 @@ class Scheduler : public FrontendModule
           case MsgType::TaskReady: {
             auto &ready = static_cast<TaskReadyMsg &>(msg);
             readyq.push_back(ready.id);
-            queueDepth.sample(static_cast<double>(readyq.size()));
             dispatchAll();
             return {cfg.dispatchOverhead, false};
           }
@@ -123,7 +121,6 @@ class Scheduler : public FrontendModule
     std::deque<TaskId> readyq;
 
     Counter dispatched;
-    Distribution queueDepth;
 };
 
 } // namespace tss

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <numeric>
-#include <ostream>
 #include <sstream>
 #include <unordered_map>
 
@@ -443,6 +441,9 @@ System::buildMetrics()
         metrics.addCounter(base + "busy_cycles", [&m] {
             return static_cast<std::uint64_t>(m.busyCycles());
         });
+        metrics.addGauge(base + "avg_queue", [this, &m] {
+            return m.avgQueueLength(engine->now());
+        });
     };
     for (const auto &trs : trsModules)
         module(*trs);
@@ -471,6 +472,9 @@ System::buildMetrics()
     });
     metrics.addGauge("noc.latency_max",
                      [this] { return net->latencyStat().max(); });
+    metrics.addCounter("noc.links", [this] {
+        return net->linkStats(engine->now()).links;
+    });
     metrics.addCounter("noc.link_traversals", [this] {
         return net->linkStats(engine->now()).traversals;
     });
@@ -734,56 +738,6 @@ System::writeObsOutputs()
                   cfg.metricsOutPath.c_str());
         }
         os << metrics.snapshot().toJson() << "\n";
-    }
-}
-
-void
-System::dumpStats(std::ostream &os) const
-{
-    Cycle now = engine->now();
-    auto line = [&](const std::string &name, const FrontendModule &m) {
-        double busy = now == 0
-            ? 0 : 100.0 * static_cast<double>(m.busyCycles()) /
-                  static_cast<double>(now);
-        os << "  " << std::left << std::setw(12) << name
-           << " packets " << std::setw(10) << m.packetsProcessed()
-           << " busy " << std::fixed << std::setprecision(1) << busy
-           << "%  avg queue " << std::setprecision(2)
-           << m.avgQueueLength(now) << "\n";
-    };
-
-    os << "module utilization (over " << now << " cycles):\n";
-    for (std::size_t i = 0; i < trsModules.size(); ++i)
-        line("trs" + std::to_string(i), *trsModules[i]);
-    for (std::size_t i = 0; i < ortModules.size(); ++i)
-        line("ort" + std::to_string(i), *ortModules[i]);
-    for (std::size_t i = 0; i < ovtModules.size(); ++i)
-        line("ovt" + std::to_string(i), *ovtModules[i]);
-    line("scheduler", *sched);
-
-    os << "NoC: " << net->messagesSent() << " messages, latency mean "
-       << std::setprecision(1) << net->latencyStat().mean()
-       << " cy (p95 " << net->latencyStat().percentile(95)
-       << ", max " << net->latencyStat().max() << ")\n";
-    LinkStats links = net->linkStats(now);
-    os << "links: " << toString(cfg.nocTopology) << "/"
-       << toString(cfg.nocPlacement) << ", " << links.links
-       << " links, " << links.traversals << " traversals, lane waits "
-       << links.laneWaitCycles << " cy, busiest link "
-       << std::setprecision(1) << links.maxUtilization * 100.0
-       << "% busy\n";
-    net->dumpStats(os, now);
-    os << "DMA: " << dma->numTransfers() << " write-backs, "
-       << dma->totalBytes() / 1024 << " KB\n";
-
-    double core_busy = 0;
-    for (const auto &worker : workers)
-        core_busy += static_cast<double>(worker->busyCycles());
-    if (now > 0 && !workers.empty()) {
-        core_busy /= static_cast<double>(now) *
-            static_cast<double>(workers.size());
-        os << "cores: " << std::setprecision(1) << core_busy * 100.0
-           << "% average utilization\n";
     }
 }
 

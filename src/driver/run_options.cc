@@ -91,7 +91,7 @@ RunOptions::parse(const CliArgs &args)
 }
 
 void
-RunOptions::applyNoc(PipelineConfig &cfg) const
+RunOptions::apply(PipelineConfig &cfg) const
 {
     if (topology)
         cfg.nocTopology = *topology;
@@ -107,12 +107,6 @@ RunOptions::applyNoc(PipelineConfig &cfg) const
         cfg.simThreads = *simThreads;
     if (lookaheadMatrix)
         cfg.lookaheadMatrix = *lookaheadMatrix;
-}
-
-void
-RunOptions::apply(PipelineConfig &cfg) const
-{
-    applyNoc(cfg);
     if (credits)
         cfg.slicePacketCredits = *credits;
     if (pipes)

@@ -12,11 +12,6 @@
  * defaults by initializing the config *before* apply() — e.g. fig17
  * sets `cfg.numPipelines = 4; cfg.slicePacketCredits = 1;` and a bare
  * invocation leaves both intact while `--pipes=8` overrides one.
- *
- * Replaces the historical free functions `applyNocArgs` and
- * `applyRelocateArgs` plus the per-bench `--pipes`/`--credits`/
- * `--gen-threads` plumbing; the free functions survive one PR as thin
- * deprecated wrappers (driver/experiment.hh).
  */
 
 #ifndef TSS_DRIVER_RUN_OPTIONS_HH
@@ -70,14 +65,6 @@ class RunOptions
         apply(cfg);
         apply(reloc);
     }
-
-    /**
-     * The historical applyNocArgs subset: topology, placement,
-     * placement seed, batching, idealAdmission, simThreads and
-     * lookahead mode only — no structural knobs. Used by the
-     * deprecated wrapper.
-     */
-    void applyNoc(PipelineConfig &cfg) const;
 
     /** True when `--relocate` was given. */
     bool relocateRequested() const { return relocate; }

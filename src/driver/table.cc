@@ -76,4 +76,29 @@ TablePrinter::printCsv(std::ostream &os) const
         emit(row);
 }
 
+JsonObject &
+JsonObject::operator[](const std::string &key)
+{
+    auto &member = members[key];
+    if (!member)
+        member = std::make_unique<JsonObject>();
+    return *member;
+}
+
+void
+JsonObject::print(std::ostream &os) const
+{
+    if (members.empty()) {
+        os << leaf;
+        return;
+    }
+    const char *sep = "{";
+    for (const auto &[key, member] : members) {
+        os << sep << "\"" << key << "\": ";
+        member->print(os);
+        sep = ", ";
+    }
+    os << "}";
+}
+
 } // namespace tss

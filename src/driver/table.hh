@@ -1,13 +1,17 @@
 /**
  * @file
- * Aligned text-table and CSV output for the bench harness; every
- * figure/table binary prints through this so outputs are uniform.
+ * Aligned text-table, CSV and JSON output for the bench harness;
+ * every figure/table binary prints through this so outputs are
+ * uniform.
  */
 
 #ifndef TSS_DRIVER_TABLE_HH
 #define TSS_DRIVER_TABLE_HH
 
 #include <iosfwd>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,6 +40,37 @@ class TablePrinter
   private:
     std::vector<std::string> header;
     std::vector<std::vector<std::string>> rows;
+};
+
+/**
+ * A JSON object built key by key for `--json` bench output. Members
+ * print sorted by key; a leaf prints the text its value streams to,
+ * so leaves are numbers.
+ */
+class JsonObject
+{
+  public:
+    /** The member object under @p key, created on first use. */
+    JsonObject &operator[](const std::string &key);
+
+    /** Set leaf @p key to @p v (default stream formatting). */
+    template <typename T>
+    JsonObject &
+    set(const std::string &key, const T &v)
+    {
+        std::ostringstream os;
+        os << v;
+        (*this)[key].leaf = os.str();
+        return *this;
+    }
+
+    /** Render on one line to @p os. */
+    void print(std::ostream &os) const;
+
+  private:
+    /// unique_ptr: a std::map of an incomplete type is undefined.
+    std::map<std::string, std::unique_ptr<JsonObject>> members;
+    std::string leaf;
 };
 
 } // namespace tss

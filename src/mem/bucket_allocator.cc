@@ -67,7 +67,6 @@ BucketAllocator::allocate(Bytes bytes)
         regionUsed += chunk;
         for (Bytes off = 0; off + size <= chunk; off += size)
             bucket.push_back(base + off);
-        ++refills;
         // Walking the in-memory list costs a main-memory round trip;
         // modeled as a constant charge on the unlucky allocation.
         cost += 100;

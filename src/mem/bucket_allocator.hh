@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace tss
@@ -80,7 +79,6 @@ class BucketAllocator
     std::vector<std::vector<std::uint64_t>> buckets;
 
     std::uint64_t live = 0;
-    Counter refills;
 };
 
 } // namespace tss

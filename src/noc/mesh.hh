@@ -38,7 +38,7 @@ class MeshNetwork : public TopologyNetwork
 
   protected:
     Cycle routeGlobal(unsigned from, unsigned to, Cycle start,
-                      Cycle ser, unsigned &hops_out) override;
+                      Cycle ser) override;
 
     unsigned globalHops(unsigned from, unsigned to) const override;
 

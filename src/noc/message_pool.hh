@@ -52,7 +52,6 @@ class MessagePool
 
     /** Cumulative fresh/reused/released chunk counters. */
     const ChunkPool::Stats &stats() const { return chunks.stats(); }
-    void resetStats() { chunks.resetStats(); }
 
   private:
     MessagePool() = default;

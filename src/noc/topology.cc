@@ -141,14 +141,12 @@ TopologyNetwork::reserveLane(Link &link, Cycle t, Cycle ser)
 
 Cycle
 TopologyNetwork::traverseLocalRing(unsigned ring, unsigned from,
-                                   unsigned to, Cycle start, Cycle ser,
-                                   unsigned &hops_out)
+                                   unsigned to, Cycle start, Cycle ser)
 {
     auto &segments = localSegments[ring];
     auto stops = static_cast<unsigned>(segments.size());
     bool clockwise = true;
     unsigned dist = ringDistance(from, to, stops, clockwise);
-    hops_out += dist;
 
     Cycle t = start;
     unsigned stop = from;
@@ -163,7 +161,7 @@ TopologyNetwork::traverseLocalRing(unsigned ring, unsigned from,
 
 Cycle
 TopologyNetwork::route(NodeId src_node, NodeId dst_node, Cycle inject,
-                       Cycle ser, unsigned &hops_out)
+                       Cycle ser)
 {
     Location src = locate(src_node);
     Location dst = locate(dst_node);
@@ -173,20 +171,20 @@ TopologyNetwork::route(NodeId src_node, NodeId dst_node, Cycle inject,
     if (src.localRing >= 0 && src.localRing == dst.localRing) {
         // Same processor ring: purely local traversal.
         return traverseLocalRing(static_cast<unsigned>(src.localRing),
-                                 src.stop, dst.stop, t, ser, hops_out);
+                                 src.stop, dst.stop, t, ser);
     }
 
     unsigned hub_pos = _params.coresPerRing; // hub stop index
     if (src.localRing >= 0) {
         t = traverseLocalRing(static_cast<unsigned>(src.localRing),
-                              src.stop, hub_pos, t, ser, hops_out);
+                              src.stop, hub_pos, t, ser);
     }
     unsigned gfrom = src.localRing >= 0 ? src.hubStop : src.stop;
     unsigned gto = dst.localRing >= 0 ? dst.hubStop : dst.stop;
-    t = routeGlobal(gfrom, gto, t, ser, hops_out);
+    t = routeGlobal(gfrom, gto, t, ser);
     if (dst.localRing >= 0) {
         t = traverseLocalRing(static_cast<unsigned>(dst.localRing),
-                              hub_pos, dst.stop, t, ser, hops_out);
+                              hub_pos, dst.stop, t, ser);
     }
     return t;
 }
@@ -207,16 +205,13 @@ TopologyNetwork::sendAt(Cycle inject, MessagePtr msg)
 
     Cycle ser = serializationCycles(msg->bytes);
 
-    unsigned hop_count = 0;
     obs::trace(obs::TraceEvent::NocSend, inject,
                (static_cast<std::uint32_t>(
                     static_cast<std::uint16_t>(msg->src))
                 << 16) |
                    static_cast<std::uint16_t>(msg->dst),
                msg->bytes);
-    Cycle t = route(msg->src, msg->dst, inject, ser, hop_count);
-
-    hops.sample(hop_count);
+    Cycle t = route(msg->src, msg->dst, inject, ser);
     deliverAt(t, std::move(msg));
 }
 
@@ -317,7 +312,6 @@ TopologyNetwork::linkStats(Cycle now) const
     auto visit = [&](const Link &link) {
         ++stats.links;
         stats.traversals += link.traversals;
-        stats.busyLaneCycles += link.busyCycles;
         stats.laneWaitCycles += link.waitCycles;
         if (now > 0 && !link.lanes.empty()) {
             double util = static_cast<double>(link.busyCycles) /
@@ -380,56 +374,6 @@ TopologyNetwork::utilizationHistogram(Cycle now) const
         h.counts[std::min(b, buckets - 1)]++;
     }
     return h;
-}
-
-void
-TopologyNetwork::writeStatsJson(std::ostream &os, Cycle now,
-                                int indent) const
-{
-    std::string pad(static_cast<std::size_t>(indent), ' ');
-    LinkStats agg = linkStats(now);
-    obs::HistogramSnapshot hist = utilizationHistogram(now);
-    os << pad << "{\n";
-    os << pad << "  \"links\": " << agg.links << ",\n";
-    os << pad << "  \"traversals\": " << agg.traversals << ",\n";
-    os << pad << "  \"busy_lane_cycles\": " << agg.busyLaneCycles
-       << ",\n";
-    os << pad << "  \"lane_wait_cycles\": " << agg.laneWaitCycles
-       << ",\n";
-    os << pad << "  \"max_utilization\": "
-       << obs::formatMetricValue(agg.maxUtilization) << ",\n";
-    os << pad << "  \"utilization_histogram\": {\"lower_bounds_pct\": [";
-    for (std::size_t i = 0; i < hist.lowerBounds.size(); ++i)
-        os << (i ? ", " : "") << hist.lowerBounds[i];
-    os << "], \"counts\": [";
-    for (std::size_t i = 0; i < hist.counts.size(); ++i)
-        os << (i ? ", " : "") << hist.counts[i];
-    os << "]}\n";
-    os << pad << "}";
-}
-
-void
-TopologyNetwork::dumpStats(std::ostream &os, Cycle now) const
-{
-    LinkStats agg = linkStats(now);
-    os << name() << " links: " << agg.links
-       << "  traversals: " << agg.traversals
-       << "  lane-wait cycles: " << agg.laneWaitCycles
-       << "  peak utilization: " << agg.maxUtilization << "\n";
-
-    // Text is a formatter over the same snapshot the registry
-    // exports; the bucket bounds come from the snapshot itself.
-    obs::HistogramSnapshot hist = utilizationHistogram(now);
-    os << name() << " link utilization histogram:\n";
-    for (std::size_t b = 0; b < hist.counts.size(); ++b) {
-        if (hist.counts[b] == 0)
-            continue;
-        bool last = b + 1 == hist.counts.size();
-        os << "  [" << hist.lowerBounds[b] << "%, "
-           << (last ? 100 : hist.lowerBounds[b + 1])
-           << (last ? "%]: " : "%): ") << hist.counts[b]
-           << " links\n";
-    }
 }
 
 std::unique_ptr<TopologyNetwork>

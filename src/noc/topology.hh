@@ -84,7 +84,6 @@ struct LinkStats
 {
     std::uint64_t links = 0;        ///< links in the fabric
     std::uint64_t traversals = 0;   ///< lane reservations made
-    Cycle busyLaneCycles = 0;       ///< lane-cycles of serialization
     Cycle laneWaitCycles = 0;       ///< backpressure: waits for a lane
     double maxUtilization = 0;      ///< busiest link's busy fraction
 };
@@ -163,7 +162,6 @@ class TopologyNetwork : public Network
     virtual unsigned hopCount(NodeId src, NodeId dst) const;
 
     const NocParams &params() const { return _params; }
-    const Distribution &hopStat() const { return hops; }
     const PlacementMap &placement() const { return place; }
 
     /** Aggregate link contention over [0, @p now]. */
@@ -188,21 +186,6 @@ class TopologyNetwork : public Network
      * have to guess the binning.
      */
     obs::HistogramSnapshot utilizationHistogram(Cycle now) const;
-
-    /**
-     * Structured form of dumpStats(): link aggregates plus the
-     * bounded utilization histogram as a JSON object, indented by
-     * @p indent spaces per line for nesting in larger reports.
-     */
-    void writeStatsJson(std::ostream &os, Cycle now,
-                        int indent = 0) const;
-
-    /**
-     * Write the per-link utilization histogram (plus traversal and
-     * backpressure aggregates) for the run ending at @p now. A pure
-     * text formatter over linkStats() + utilizationHistogram().
-     */
-    void dumpStats(std::ostream &os, Cycle now) const;
 
   protected:
     /// One link: lane credits shared by both directions, plus
@@ -252,14 +235,14 @@ class TopologyNetwork : public Network
      * distance-free Fixed topology.
      */
     virtual Cycle route(NodeId src, NodeId dst, Cycle inject,
-                        Cycle ser, unsigned &hops_out);
+                        Cycle ser);
 
     /**
      * Route between two *global* stops starting at @p start,
      * reserving lanes along the way; returns the arrival cycle.
      */
     virtual Cycle routeGlobal(unsigned from, unsigned to, Cycle start,
-                              Cycle ser, unsigned &hops_out) = 0;
+                              Cycle ser) = 0;
 
     /** Stateless hop count between two global stops. */
     virtual unsigned globalHops(unsigned from, unsigned to) const = 0;
@@ -270,7 +253,7 @@ class TopologyNetwork : public Network
 
     /** Traverse a local processor ring (shortest direction). */
     Cycle traverseLocalRing(unsigned ring, unsigned from, unsigned to,
-                            Cycle start, Cycle ser, unsigned &hops_out);
+                            Cycle start, Cycle ser);
 
     NocParams _params;
     unsigned numRings;
@@ -279,8 +262,6 @@ class TopologyNetwork : public Network
   private:
     /// Per processor ring: coresPerRing + 1 link segments.
     std::vector<std::vector<Link>> localSegments;
-
-    Distribution hops;
 };
 
 /**
@@ -315,16 +296,13 @@ class FixedNetwork : public TopologyNetwork
 
   protected:
     Cycle
-    route(NodeId, NodeId, Cycle inject, Cycle ser,
-          unsigned &hops_out) override
+    route(NodeId, NodeId, Cycle inject, Cycle ser) override
     {
-        hops_out = 0;
         return inject + _params.fixedLatency + ser;
     }
 
     Cycle
-    routeGlobal(unsigned, unsigned, Cycle start, Cycle,
-                unsigned &) override
+    routeGlobal(unsigned, unsigned, Cycle start, Cycle) override
     {
         return start;
     }

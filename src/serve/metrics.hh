@@ -5,10 +5,11 @@
  *
  *  - *Simulated* makespans (cycles) are a pure function of (program,
  *    machine config, tenant carve base); their percentiles are
- *    deterministic and gate hard in compare_bench.py --kind serve.
+ *    deterministic and gate under the `exact` rule of
+ *    `bench/compare_bench.py compare --kind serve`.
  *  - *Wall-clock* latencies and tasks/sec depend on the host and on
- *    open-loop arrival timing; they are recorded for operators but
- *    only ever compared advisorily.
+ *    open-loop arrival timing; they are recorded for operators and
+ *    gate only under the `advisory` rule.
  */
 
 #ifndef TSS_SERVE_METRICS_HH

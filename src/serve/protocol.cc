@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "mem/block_layout.hh"
 #include "trace/trace_io.hh"
 
 namespace tss::serve
@@ -125,8 +126,11 @@ parseTraceText(const std::string &text, TaskTrace &out)
         } else if (tag == "task") {
             TraceTask task;
             std::size_t nops = 0;
+            // Bound the wire count before reserve(): an unchecked
+            // one can throw bad_alloc.
             if (!(ls >> task.kernel >> task.runtime >> nops) ||
-                task.kernel >= trace.kernelNames.size())
+                task.kernel >= trace.kernelNames.size() ||
+                nops > layout::maxOperands)
                 return false;
             task.operands.reserve(nops);
             for (std::size_t i = 0; i < nops; ++i) {
@@ -147,6 +151,15 @@ parseTraceText(const std::string &text, TaskTrace &out)
         }
     }
     out = std::move(trace);
+    return true;
+}
+
+bool
+operandsFitLayout(const TaskTrace &trace)
+{
+    for (const TraceTask &task : trace.tasks)
+        if (task.operands.size() > layout::maxOperands)
+            return false;
     return true;
 }
 

@@ -82,9 +82,16 @@ bool writeFrame(int fd, const Frame &frame);
 /**
  * Parse a Submit payload in the trace text format. Unlike
  * tss::readTrace this returns false on malformed input instead of
- * calling fatal(): servers reject, they do not die.
+ * calling fatal(): servers reject, they do not die. A task wider than
+ * the TRS operand layout is malformed.
  */
 bool parseTraceText(const std::string &text, TaskTrace &out);
+
+/**
+ * True when every task of @p trace fits the TRS operand layout
+ * (layout::maxOperands); SystemBuilder would fatal() on a wider one.
+ */
+bool operandsFitLayout(const TaskTrace &trace);
 
 /** Serialize @p trace to the Submit payload text. */
 std::string formatTraceText(const TaskTrace &trace);

@@ -134,15 +134,17 @@ TraceService::parseWorker()
 {
     while (auto job = parseQueue.pop()) {
         std::int64_t t0 = uptimeUs();
-        if (!job->parsed) {
-            if (!parseTraceText(job->text, job->trace)) {
-                job->outcome = Job::Outcome::ParseError;
-                reportQueue.push(std::move(*job));
-                continue;
-            }
-            job->parsed = true;
-            job->text.clear();
+        // In-process traces skip the text parser but not its width
+        // check: an over-wide task must never reach SystemBuilder.
+        bool ok = job->parsed ? operandsFitLayout(job->trace)
+                              : parseTraceText(job->text, job->trace);
+        if (!ok) {
+            job->outcome = Job::Outcome::ParseError;
+            reportQueue.push(std::move(*job));
+            continue;
         }
+        job->parsed = true;
+        job->text.clear();
         job->stageSlices.push_back(obs::serveStageSlice(
             "serve.parse", 0, t0, uptimeUs() - t0, job->id));
         admitQueue.push(std::move(*job));

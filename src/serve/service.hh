@@ -126,7 +126,7 @@ struct TenantReport
     std::size_t admitted = 0;
     std::size_t completed = 0;      ///< simulated to completion
     std::size_t wedged = 0;         ///< simulation deadlocked
-    std::size_t rejectedParse = 0;  ///< malformed submission text
+    std::size_t rejectedParse = 0;  ///< malformed or over-wide submission
     std::size_t rejectedCarve = 0;  ///< program overflows the carve
     std::size_t busyRejections = 0; ///< bounced at the admission edge
 

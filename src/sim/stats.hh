@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulation statistics: scalar counters, sampled distributions, and
- * time-weighted averages, collected into named groups for dumping.
+ * time-weighted averages.
  */
 
 #ifndef TSS_SIM_STATS_HH
@@ -11,9 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "types.hh"
@@ -206,37 +203,6 @@ class TimeWeighted
     double integral = 0;
     double peak = 0;
     Cycle lastTime = 0;
-};
-
-/**
- * A named collection of statistics owned by a module, dumpable as an
- * aligned text block. Stats register by pointer; the group does not
- * own them.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
-
-    void addCounter(const std::string &n, const Counter *c)
-    {
-        counters.emplace_back(n, c);
-    }
-
-    void addDistribution(const std::string &n, const Distribution *d)
-    {
-        distributions.emplace_back(n, d);
-    }
-
-    const std::string &name() const { return _name; }
-
-    /** Write all registered statistics to @p os. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::string _name;
-    std::vector<std::pair<std::string, const Counter *>> counters;
-    std::vector<std::pair<std::string, const Distribution *>> distributions;
 };
 
 } // namespace tss

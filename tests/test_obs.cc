@@ -283,29 +283,33 @@ TEST(ObsMetrics, SnapshotMatchesFrontendStats)
     EXPECT_GT(hist.totalCount(), 0u); // one bucket entry per link
 }
 
-/** Structured NoC stats: JSON form and text form agree on bounds. */
-TEST(ObsMetrics, NetworkStatsJson)
+/**
+ * The registry is the only stats report: it carries the NoC link
+ * count and every module's time-averaged queue length, the two values
+ * no other surface exports.
+ */
+TEST(ObsMetrics, NetworkAndModuleStatsInRegistry)
 {
     TaskTrace trace = chainProgram(20);
     PipelineConfig cfg = tinyConfig();
     auto sys = SystemBuilder(cfg, trace).build();
     sys->run();
+    Cycle now = sys->simEngine().now();
 
-    std::ostringstream json;
-    sys->network().writeStatsJson(json, sys->simEngine().now());
-    std::string s = json.str();
-    EXPECT_NE(s.find("\"links\""), std::string::npos);
-    EXPECT_NE(s.find("\"lower_bounds_pct\": [0, 10, 20, 30, 40, 50, "
-                     "60, 70, 80, 90]"),
-              std::string::npos);
+    obs::Snapshot snap = sys->metricsRegistry().snapshot();
+    ASSERT_TRUE(snap.hasCounter("noc.links"));
+    EXPECT_GT(snap.counter("noc.links"), 0u);
+    EXPECT_EQ(snap.counter("noc.links"),
+              sys->network().linkStats(now).links);
 
-    // The text report is a formatter over the same snapshot: every
-    // populated bucket prints with explicit [lo%, hi%) bounds.
-    std::ostringstream text;
-    sys->network().dumpStats(text, sys->simEngine().now());
-    EXPECT_NE(text.str().find("link utilization histogram"),
-              std::string::npos);
-    EXPECT_NE(text.str().find("[0%, 10%)"), std::string::npos);
+    const FrontendModule *modules[] = {&sys->trs(0), &sys->ort(0),
+                                       &sys->ovt(0)};
+    for (const FrontendModule *m : modules) {
+        std::string name = "module." + m->name() + ".avg_queue";
+        ASSERT_EQ(snap.gauges.count(name), 1u) << name;
+        EXPECT_DOUBLE_EQ(snap.gauge(name), m->avgQueueLength(now));
+    }
+    EXPECT_EQ(snap.gauges.count("module.scheduler.avg_queue"), 1u);
 }
 
 TEST(ObsTrace, AppendChromeEventsSplices)

@@ -23,6 +23,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "mem/block_layout.hh"
 #include "workload/address_space.hh"
 #include "workload/builder.hh"
 
@@ -207,6 +208,43 @@ TEST(Serve, MalformedSubmissionRejectedNotFatal)
     ServiceReport report = service.report();
     EXPECT_EQ(tenantOf(report, tenant).rejectedParse, 1u);
     EXPECT_EQ(tenantOf(report, tenant).completed, 0u);
+}
+
+TEST(Serve, OverWideSubmissionsRejectedNotFatal)
+{
+    TraceService service(tinyServeConfig());
+    TenantId tenant = service.openTenant("wide");
+
+    // A huge operand count on the wire: rejected before any reserve().
+    ASSERT_EQ(service.submitText(tenant, "trace x\nkernel 0 k\n"
+                                         "task 0 100 99999999999999\n")
+                  .status,
+              SubmitStatus::Accepted);
+
+    // A well-formed task one operand wider than the TRS layout, on
+    // both the wire path and the in-process path.
+    TaskTrace wide;
+    wide.name = "wide";
+    auto kernel = wide.addKernel("k");
+    TaskBuilder b(wide);
+    AddressSpace mem(0x5000'0000);
+    b.begin(kernel, 100);
+    for (unsigned i = 0; i <= layout::maxOperands; ++i)
+        b.in(mem.alloc(256), 256);
+    b.commit();
+    ASSERT_EQ(service.submitText(tenant, formatTraceText(wide)).status,
+              SubmitStatus::Accepted);
+    ASSERT_EQ(service.submit(tenant, wide).status,
+              SubmitStatus::Accepted);
+
+    // The service keeps serving.
+    ASSERT_EQ(service.submit(tenant, chainProgram(10, 0x5000'0000))
+                  .status,
+              SubmitStatus::Accepted);
+    service.waitIdle();
+    ServiceReport report = service.report();
+    EXPECT_EQ(tenantOf(report, tenant).completed, 1u);
+    EXPECT_EQ(tenantOf(report, tenant).rejectedParse, 3u);
 }
 
 TEST(Serve, CarveOverflowRejected)
