@@ -18,15 +18,10 @@ Ort::Ort(std::string name, EventQueue &eq, Network &network, NodeId node,
 {
     std::uint32_t total = cfg.entriesPerOrt();
     numSets = std::max<std::uint32_t>(1, total / cfg.ortWays);
-    entries.assign(std::size_t(numSets) * cfg.ortWays, Entry{});
+    sets.resize(numSets);
 
     std::uint32_t slots = cfg.slotsPerOvt();
-    freeSlots.reserve(slots);
-    for (std::uint32_t s = slots; s > 0; --s)
-        freeSlots.push_back(s - 1);
-    readersIssued.assign(slots, 0);
-    slotEpoch.assign(slots, 0);
-    slotReserved.assign(slots, 0);
+    freeSlots = IdPool(slots);
     reserveSlots = std::min<std::uint32_t>(cfg.ovtReserveSlots, slots);
 }
 
@@ -71,8 +66,10 @@ std::size_t
 Ort::liveEntries() const
 {
     std::size_t n = 0;
-    for (const auto &e : entries)
-        n += e.valid ? 1 : 0;
+    for (const auto &set : sets) {
+        for (unsigned w = 0; set && w < cfg.ortWays; ++w)
+            n += set[w].valid ? 1 : 0;
+    }
     return n;
 }
 
@@ -89,7 +86,10 @@ Ort::Entry *
 Ort::lookup(std::uint64_t addr, bool &hit, std::uint32_t &index)
 {
     std::uint32_t set = setIndexOf(addr);
-    Entry *base = &entries[std::size_t(set) * cfg.ortWays];
+    auto &ways = sets[set];
+    if (!ways)
+        ways = std::make_unique<Entry[]>(cfg.ortWays);
+    Entry *base = ways.get();
 
     for (unsigned w = 0; w < cfg.ortWays; ++w) {
         if (base[w].valid && base[w].addr == addr) {
@@ -379,7 +379,7 @@ Ort::canClaimSlot(const DecodeOperandMsg &msg) const
         return false;
     if (isOldestTask(msg))
         return true; // ROB-head escape: may drain into the reserve
-    return freeSlots.size() > reserveSlots;
+    return freeSlots.numFree() > reserveSlots;
 }
 
 std::uint32_t
@@ -390,9 +390,14 @@ Ort::claimSlot()
     // reserve is only ever pinned by tasks the watermark has already
     // passed or is at — all of which finish and return it.
     bool from_reserve =
-        livenessProtocol() && freeSlots.size() <= reserveSlots;
-    std::uint32_t slot = freeSlots.back();
-    freeSlots.pop_back();
+        livenessProtocol() && freeSlots.numFree() <= reserveSlots;
+    std::uint32_t slot = freeSlots.pop();
+    if (slot == slotEpoch.size()) {
+        // First claim of a fresh slot: grow the per-slot arrays.
+        readersIssued.push_back(0);
+        slotEpoch.push_back(0);
+        slotReserved.push_back(0);
+    }
     slotReserved[slot] = from_reserve ? 1 : 0;
     if (from_reserve) {
         obs::trace(obs::TraceEvent::VersionReserved, curCycle(),
@@ -439,7 +444,7 @@ Ort::wakeSlotWaiters()
     // operand may not need a slot — joining a version instead — but
     // over-waking just re-parks, and under-waking never strands: the
     // next death or advance rescans).
-    std::size_t budget = freeSlots.size();
+    std::size_t budget = freeSlots.numFree();
     std::uint32_t oldest =
         registry ? registry->minUnfinishedIndex() : 0;
     std::size_t n = 0;
@@ -489,10 +494,10 @@ Ort::handleBatch(DecodeBatchMsg &msg)
 Ort::Service
 Ort::handleVersionDead(VersionDeadMsg &msg)
 {
-    freeSlots.push_back(msg.slot);
+    freeSlots.push(msg.slot);
     ++slotEpoch[msg.slot];
     slotReserved[msg.slot] = 0;
-    Entry &entry = entries[msg.ortEntry];
+    Entry &entry = entryAt(msg.ortEntry);
     TSS_ASSERT(entry.valid && entry.liveVersions > 0,
                "version death for idle ORT entry");
     --entry.liveVersions;
@@ -508,7 +513,7 @@ Ort::handleVersionDead(VersionDeadMsg &msg)
 Ort::Service
 Ort::handleQuiescent(VersionQuiescentMsg &msg)
 {
-    Entry &entry = entries[msg.ortEntry];
+    Entry &entry = entryAt(msg.ortEntry);
     // Grant retirement only if the hint is fresh (same slot
     // incarnation), this is still the current version, and every
     // reader registration we ever issued for the slot has been seen

@@ -37,6 +37,7 @@
 #ifndef TSS_CORE_ORT_HH
 #define TSS_CORE_ORT_HH
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "core/module.hh"
 #include "core/trs.hh"
 #include "mem/edram.hh"
+#include "mem/free_list.hh"
 #include "sim/stats.hh"
 
 namespace tss
@@ -101,7 +103,7 @@ class Ort : public FrontendModule
     /// @name Introspection for tests and the liveness watchdog.
     /// @{
     std::size_t liveEntries() const;
-    std::size_t freeVersionSlots() const { return freeSlots.size(); }
+    std::size_t freeVersionSlots() const { return freeSlots.numFree(); }
     std::uint64_t stallEvents() const { return stalls.value(); }
     std::uint64_t deferredOps() const { return deferrals.value(); }
     std::size_t slotParkedOperands() const { return slotWaiters.size(); }
@@ -199,6 +201,15 @@ class Ort : public FrontendModule
 
     std::uint32_t setIndexOf(std::uint64_t addr) const;
 
+    /** The entry at table index @p index (its set already exists). */
+    Entry &
+    entryAt(std::uint32_t index)
+    {
+        auto &ways = sets[index / cfg.ortWays];
+        TSS_ASSERT(ways, "ORT entry %u in an untouched set", index);
+        return ways[index % cfg.ortWays];
+    }
+
     void sampleChain(Entry &entry);
 
     unsigned ortIndex;
@@ -228,15 +239,22 @@ class Ort : public FrontendModule
     Counter slotParks;
 
     std::uint32_t numSets;
-    std::vector<Entry> entries; ///< numSets x ways
+    /// numSets sets of cfg.ortWays entries; a set is allocated on its
+    /// first lookup, so a sparse directory touches only its objects'
+    /// sets. Entry index = set * ortWays + way.
+    std::vector<std::unique_ptr<Entry[]>> sets;
 
-    std::vector<std::uint32_t> freeSlots; ///< OVT slot credits
+    IdPool freeSlots; ///< OVT slot credits
 
+    /// @name Per version slot, grown as fresh slots are first claimed
+    /// (slots are handed out as a dense prefix, see IdPool).
+    /// @{
     /// AddReader messages issued per version slot (retire handshake).
     std::vector<std::uint32_t> readersIssued;
 
     /// Slot incarnation counters; stale retirement hints are ignored.
     std::vector<std::uint32_t> slotEpoch;
+    /// @}
 
     bool stallSent = false;
     Cycle stallStarted = 0;

@@ -16,7 +16,6 @@ Ovt::Ovt(std::string name, EventQueue &eq, Network &network, NodeId node,
               config.renameRegionBytes),
       dma(dma_engine)
 {
-    versions.assign(cfg.slotsPerOvt(), Version{});
 }
 
 std::size_t
@@ -62,6 +61,10 @@ Ovt::sendDataReady(const OperandId &op, ReadySide side,
 Ovt::Service
 Ovt::handleCreate(CreateVersionMsg &msg)
 {
+    TSS_ASSERT(msg.slot < cfg.slotsPerOvt(), "OVT %u: slot %u out of "
+               "range", ovtIndex, msg.slot);
+    if (msg.slot >= versions.size())
+        versions.resize(msg.slot + 1);
     Version &v = versions[msg.slot];
     TSS_ASSERT(!v.valid, "OVT %u: version slot %u reused while live",
                ovtIndex, msg.slot);

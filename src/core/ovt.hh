@@ -105,6 +105,9 @@ class Ovt : public FrontendModule
     NodeId ortNode = invalidNode;
     std::vector<NodeId> trsNodes;
 
+    /// Version slots [0, highest slot created]: the ORT hands slots
+    /// out as a dense prefix (IdPool), so the table grows on demand
+    /// and never holds the slots a run does not reach.
     std::vector<Version> versions;
 };
 

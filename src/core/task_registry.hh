@@ -10,6 +10,7 @@
 #ifndef TSS_CORE_TASK_REGISTRY_HH
 #define TSS_CORE_TASK_REGISTRY_HH
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -67,17 +68,20 @@ class TaskRegistry
     configureIdTable(unsigned num_trs, unsigned slots_per_trs)
     {
         slotsPerTrs = slots_per_trs;
-        idTable.assign(static_cast<std::size_t>(num_trs) *
-                           slots_per_trs,
-                       IdEntry{});
+        pagesPerTrs = (slots_per_trs + idPageEntries - 1) / idPageEntries;
+        idPages.clear();
+        idPages.resize(std::size_t(num_trs) * pagesPerTrs);
     }
 
     /** Bind a hardware id to a trace task at allocation time. */
     void
     bind(TaskId id, std::uint32_t trace_index)
     {
-        if (!idTable.empty()) {
-            IdEntry &e = idTable[entryIndex(id)];
+        if (!idPages.empty()) {
+            auto &page = idPages[pageIndex(id)];
+            if (!page)
+                page = std::make_unique<IdEntry[]>(idPageEntries);
+            IdEntry &e = page[id.slot % idPageEntries];
             TSS_ASSERT(e.traceIndex == invalidIndex, "task id rebound");
             e = IdEntry{id.generation, trace_index};
             return;
@@ -91,8 +95,8 @@ class TaskRegistry
     std::uint32_t
     traceIndex(TaskId id) const
     {
-        if (!idTable.empty()) {
-            const IdEntry &e = idTable[entryIndex(id)];
+        if (!idPages.empty()) {
+            const IdEntry &e = boundEntry(id);
             TSS_ASSERT(e.traceIndex != invalidIndex &&
                            e.generation == id.generation,
                        "unknown task id %s", toString(id).c_str());
@@ -123,8 +127,8 @@ class TaskRegistry
     void
     unbind(TaskId id)
     {
-        if (!idTable.empty()) {
-            IdEntry &e = idTable[entryIndex(id)];
+        if (!idPages.empty()) {
+            IdEntry &e = boundEntry(id);
             TSS_ASSERT(e.traceIndex != invalidIndex &&
                            e.generation == id.generation,
                        "unbinding unknown task id");
@@ -211,22 +215,41 @@ class TaskRegistry
         std::uint32_t traceIndex = invalidIndex;
     };
 
+    /** Page of @p id's row: each TRS owns pagesPerTrs pages. */
     std::size_t
-    entryIndex(TaskId id) const
+    pageIndex(TaskId id) const
     {
         TSS_ASSERT(id.slot < slotsPerTrs, "slot %u out of table range",
                    id.slot);
-        std::size_t index =
-            static_cast<std::size_t>(id.trs) * slotsPerTrs + id.slot;
-        TSS_ASSERT(index < idTable.size(), "trs %u out of table range",
+        std::size_t index = id.trs * pagesPerTrs + id.slot / idPageEntries;
+        TSS_ASSERT(index < idPages.size(), "trs %u out of table range",
                    id.trs);
         return index;
     }
 
+    /** The flat-table row of @p id, whose page bind() created. */
+    IdEntry &
+    boundEntry(TaskId id) const
+    {
+        const auto &page = idPages[pageIndex(id)];
+        TSS_ASSERT(page, "unknown task id %s", toString(id).c_str());
+        return page[id.slot % idPageEntries];
+    }
+
+    /// Rows per lazily allocated page of the flat id table.
+    static constexpr std::size_t idPageEntries = 256;
+
     const TaskTrace &trace;
     std::vector<TaskRecord> records;
     std::unordered_map<TaskId, std::uint32_t> byId;
-    std::vector<IdEntry> idTable;
+    /// The flat <TRS, SLOT> table in pages that bind() allocates on
+    /// first use: TRS slots are handed out as a dense prefix per TRS,
+    /// so a run touches few pages. Every page belongs to one TRS and
+    /// is only created by it, and readers only look up ids bound in
+    /// earlier events, so page creation needs no lock under the
+    /// parallel engine.
+    std::vector<std::unique_ptr<IdEntry[]>> idPages;
+    std::size_t pagesPerTrs = 0;
     unsigned slotsPerTrs = 0;
 
     /// Per-task, per-operand object tickets (shared-data mode only).

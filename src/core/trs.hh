@@ -9,7 +9,6 @@
 #ifndef TSS_CORE_TRS_HH
 #define TSS_CORE_TRS_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hh"
@@ -85,7 +84,7 @@ class Trs : public FrontendModule
     const BlockFreeList &blockList() const { return freeList; }
 
     /** Number of live (allocated, unfinished) task slots. */
-    std::size_t liveSlots() const { return slots.size(); }
+    std::size_t liveSlots() const { return numLiveSlots; }
 
   protected:
     Service process(ProtoMsg &msg) override;
@@ -108,7 +107,8 @@ class Trs : public FrontendModule
     /** One in-flight task's meta-data. */
     struct TaskSlot
     {
-        std::uint32_t generation = 0;
+        bool live = false;               ///< allocated and unfinished
+        std::uint32_t generation = 0;    ///< incarnation of the block
         std::uint32_t traceIndex = 0;
         unsigned numOperands = 0;
         unsigned infoCount = 0;
@@ -168,11 +168,12 @@ class Trs : public FrontendModule
     /// runs never subscribe, so they see zero extra traffic.
     std::vector<NodeId> starvedOrtNodes;
 
-    /// Live slots keyed by main-block index.
-    std::unordered_map<std::uint32_t, TaskSlot> slots;
-
-    /// Generation counter per block index (tombstone detection).
-    std::unordered_map<std::uint32_t, std::uint32_t> generations;
+    /// Task slots indexed by main-block index. Blocks are handed out
+    /// as a dense prefix (IdPool), so the table grows on demand; a
+    /// slot keeps its generation (tombstone detection) and its vector
+    /// capacity across incarnations.
+    std::vector<TaskSlot> slots;
+    std::size_t numLiveSlots = 0;
 };
 
 } // namespace tss

@@ -6,13 +6,9 @@ namespace tss
 {
 
 BlockFreeList::BlockFreeList(std::uint32_t num_blocks, Edram *edram_ptr)
-    : totalBlocks(num_blocks), edram(edram_ptr)
+    : totalBlocks(num_blocks), edram(edram_ptr), freeBlocks(num_blocks),
+      sramCount(std::min<unsigned>(sramEntries, num_blocks))
 {
-    freeBlocks.reserve(num_blocks);
-    // Populate in reverse so that block 0 is allocated first.
-    for (std::uint32_t i = num_blocks; i > 0; --i)
-        freeBlocks.push_back(i - 1);
-    sramCount = std::min<unsigned>(sramEntries, num_blocks);
 }
 
 std::optional<BlockFreeList::Allocation>
@@ -28,13 +24,12 @@ BlockFreeList::allocate()
         ++sramMisses;
         if (edram)
             cost += edram->read();
-        sramCount = std::min<std::size_t>(sramEntries, freeBlocks.size());
+        sramCount = std::min(sramEntries, freeBlocks.numFree());
     } else {
         ++sramHits;
     }
 
-    std::uint32_t block = freeBlocks.back();
-    freeBlocks.pop_back();
+    std::uint32_t block = freeBlocks.pop();
     --sramCount;
     return Allocation{block, cost};
 }
@@ -44,7 +39,7 @@ BlockFreeList::release(std::uint32_t block)
 {
     TSS_ASSERT(block < totalBlocks, "release of out-of-range block %u",
                block);
-    freeBlocks.push_back(block);
+    freeBlocks.push(block);
 
     Cycle cost = 1;
     if (sramCount < sramEntries) {

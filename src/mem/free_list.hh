@@ -23,6 +23,48 @@ namespace tss
 {
 
 /**
+ * A LIFO pool of the ids [0, n) that materializes nothing up front:
+ * ids never handed out are implied by a fresh counter, and released
+ * ids sit on a recycled stack above it. It hands out exactly the
+ * sequence of a stack pre-filled with n-1, ..., 1, 0 — id 0 first,
+ * released ids reused most recent first — so construction is O(1)
+ * and the ids ever handed out form a dense prefix [0, k): tables
+ * indexed by them can grow on demand.
+ */
+class IdPool
+{
+  public:
+    explicit IdPool(std::uint32_t num_ids = 0) : limit(num_ids) {}
+
+    std::uint32_t
+    numFree() const
+    {
+        return limit - fresh + static_cast<std::uint32_t>(recycled.size());
+    }
+
+    bool empty() const { return numFree() == 0; }
+
+    /** Take the most recently released id, else the next fresh one. */
+    std::uint32_t
+    pop()
+    {
+        TSS_ASSERT(!empty(), "id pool exhausted");
+        if (recycled.empty())
+            return fresh++;
+        std::uint32_t id = recycled.back();
+        recycled.pop_back();
+        return id;
+    }
+
+    void push(std::uint32_t id) { recycled.push_back(id); }
+
+  private:
+    std::uint32_t limit;
+    std::uint32_t fresh = 0;
+    std::vector<std::uint32_t> recycled;
+};
+
+/**
  * Free-list over a fixed pool of equal-size blocks, with the paper's
  * SRAM head buffer timing model.
  */
@@ -64,10 +106,7 @@ class BlockFreeList
      */
     Cycle release(std::uint32_t block);
 
-    std::uint32_t numFree() const
-    {
-        return static_cast<std::uint32_t>(freeBlocks.size());
-    }
+    std::uint32_t numFree() const { return freeBlocks.numFree(); }
 
     std::uint32_t numBlocks() const { return totalBlocks; }
     std::uint32_t numAllocated() const { return totalBlocks - numFree(); }
@@ -86,7 +125,7 @@ class BlockFreeList
     Edram *edram;
 
     /// All currently free block indices (LIFO: hot blocks reused).
-    std::vector<std::uint32_t> freeBlocks;
+    IdPool freeBlocks;
 
     /// How many of the top-of-stack entries are mirrored in SRAM.
     unsigned sramCount;

@@ -7,7 +7,6 @@
 #ifndef TSS_NOC_NETWORK_HH
 #define TSS_NOC_NETWORK_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "noc/message.hh"
@@ -40,7 +39,7 @@ class Network : public SimObject
     void
     attach(NodeId node, Endpoint &ep)
     {
-        endpoints[node] = &ep;
+        port(node).endpoint = &ep;
     }
 
     /**
@@ -51,15 +50,15 @@ class Network : public SimObject
     void
     bindQueue(NodeId node, EventQueue &eq)
     {
-        nodeQueues[node] = &eq;
+        port(node).queue = &eq;
     }
 
     /** The queue @p node is bound to, or nullptr if unbound. */
     EventQueue *
     boundQueue(NodeId node) const
     {
-        auto it = nodeQueues.find(node);
-        return it == nodeQueues.end() ? nullptr : it->second;
+        auto index = static_cast<std::size_t>(node);
+        return index < ports.size() ? ports[index].queue : nullptr;
     }
 
     /**
@@ -126,7 +125,7 @@ class Network : public SimObject
     }
 
     std::uint64_t messagesSent() const { return numMessages.value(); }
-    const Distribution &latencyStat() const { return latencies; }
+    const IntHistogram &latencyStat() const { return latencies; }
 
   protected:
     /**
@@ -141,20 +140,26 @@ class Network : public SimObject
     void
     deliverAt(Cycle when, MessagePtr msg)
     {
-        auto qit = nodeQueues.find(msg->dst);
-        EventQueue &q =
-            qit == nodeQueues.end() ? eventQueue() : *qit->second;
+        auto dst_index = static_cast<std::size_t>(msg->dst);
+        TSS_ASSERT(dst_index < ports.size() && ports[dst_index].endpoint,
+                   "message to unattached node %d", msg->dst);
+        Port &dst = ports[dst_index];
+        EventQueue &q = dst.queue ? *dst.queue : eventQueue();
         if (when < q.windowFloor())
             when = q.windowFloor();
 
-        auto key = pairKey(msg->src, msg->dst);
-        auto &last = lastDelivery[key];
+        TSS_ASSERT(msg->src >= 0, "message from invalid node %d",
+                   msg->src);
+        auto src_index = static_cast<std::size_t>(msg->src);
+        if (src_index >= dst.lastFrom.size())
+            dst.lastFrom.resize(src_index + 1, 0);
+        Cycle &last = dst.lastFrom[src_index];
         if (when < last)
             when = last;
         last = when;
 
         ++numMessages;
-        latencies.sample(static_cast<double>(when - msg->sentAt));
+        latencies.sample(when - msg->sentAt);
         obs::trace(obs::TraceEvent::NocDeliver, when,
                    (static_cast<std::uint32_t>(
                         static_cast<std::uint16_t>(msg->src))
@@ -162,29 +167,38 @@ class Network : public SimObject
                        static_cast<std::uint16_t>(msg->dst),
                    when - msg->sentAt);
 
-        auto it = endpoints.find(msg->dst);
-        TSS_ASSERT(it != endpoints.end(),
-                   "message to unattached node %d", msg->dst);
-        Endpoint *ep = it->second;
-        NodeId dst = msg->dst;
-        q.scheduleStation(when, dst, [ep, m = std::move(msg)]() mutable {
-            ep->receive(std::move(m));
-        });
+        Endpoint *ep = dst.endpoint;
+        NodeId dst_node = msg->dst;
+        q.scheduleStation(when, dst_node,
+                          [ep, m = std::move(msg)]() mutable {
+                              ep->receive(std::move(m));
+                          });
     }
 
   private:
-    static std::uint64_t
-    pairKey(NodeId src, NodeId dst)
+    /** Per-node delivery state, indexed by NodeId. */
+    struct Port
     {
-        return (std::uint64_t(std::uint32_t(src)) << 32) |
-            std::uint32_t(dst);
+        Endpoint *endpoint = nullptr;
+        EventQueue *queue = nullptr; ///< bound shard (null: own queue)
+        /// Per-source FIFO clamp: latest delivery cycle from each
+        /// source node (indexed by NodeId, grown on first message).
+        std::vector<Cycle> lastFrom;
+    };
+
+    Port &
+    port(NodeId node)
+    {
+        TSS_ASSERT(node >= 0, "invalid node id %d", node);
+        auto index = static_cast<std::size_t>(node);
+        if (index >= ports.size())
+            ports.resize(index + 1);
+        return ports[index];
     }
 
-    std::unordered_map<NodeId, Endpoint *> endpoints;
-    std::unordered_map<NodeId, EventQueue *> nodeQueues;
-    std::unordered_map<std::uint64_t, Cycle> lastDelivery;
+    std::vector<Port> ports;
     Counter numMessages;
-    Distribution latencies;
+    IntHistogram latencies;
 };
 
 /**

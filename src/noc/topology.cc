@@ -57,16 +57,32 @@ TopologyNetwork::TopologyNetwork(std::string name, EventQueue &eq,
                           _params.numFrontendTiles, _params.numL2Banks,
                           _params.numMemCtrls, _params.placementSeed);
 
+    TSS_ASSERT(_params.lanesPerSegment >= 1 &&
+                   _params.lanesPerSegment <= Link::maxLanes,
+               "lanesPerSegment must be in [1, %u]", Link::maxLanes);
     localSegments.resize(numRings);
     for (auto &segments : localSegments)
         segments.assign(_params.coresPerRing + 1, makeLink());
+
+    unsigned nodes = _params.numCores + _params.numFrontendTiles +
+        _params.numL2Banks + _params.numMemCtrls;
+    locations.reserve(nodes);
+    for (unsigned n = 0; n < nodes; ++n)
+        locations.push_back(computeLocation(n));
+
+    // Protocol messages are at most a few hundred bytes (a submit
+    // packet of 32 B + 16 B per operand, batched decode descriptors).
+    constexpr Bytes serTableBytes = 1024;
+    serTable.resize(serTableBytes);
+    for (Bytes b = 0; b < serTableBytes; ++b)
+        serTable[b] = serializationFormula(b);
 }
 
 TopologyNetwork::Link
 TopologyNetwork::makeLink() const
 {
     Link link;
-    link.lanes.assign(_params.lanesPerSegment, 0);
+    link.lanes = _params.lanesPerSegment;
     return link;
 }
 
@@ -105,7 +121,14 @@ TopologyNetwork::memCtrlNode(unsigned mc) const
 TopologyNetwork::Location
 TopologyNetwork::locate(NodeId node) const
 {
-    auto n = static_cast<unsigned>(node);
+    auto index = static_cast<std::size_t>(node);
+    TSS_ASSERT(index < locations.size(), "node %d out of range", node);
+    return locations[index];
+}
+
+TopologyNetwork::Location
+TopologyNetwork::computeLocation(unsigned n) const
+{
     if (n < _params.numCores) {
         unsigned ring = n / _params.coresPerRing;
         unsigned stop = n % _params.coresPerRing;
@@ -121,14 +144,14 @@ TopologyNetwork::locate(NodeId node) const
     if (n < _params.numL2Banks)
         return Location{-1, place.l2Stop[n], place.l2Stop[n]};
     n -= _params.numL2Banks;
-    TSS_ASSERT(n < _params.numMemCtrls, "node %d out of range", node);
     return Location{-1, place.mcStop[n], place.mcStop[n]};
 }
 
 Cycle
 TopologyNetwork::reserveLane(Link &link, Cycle t, Cycle ser)
 {
-    auto best = std::min_element(link.lanes.begin(), link.lanes.end());
+    auto best = std::min_element(link.laneFree.begin(),
+                                 link.laneFree.begin() + link.lanes);
     Cycle begin = std::max(t, *best);
     *best = begin + ser;
     ++link.traversals;
@@ -148,13 +171,30 @@ TopologyNetwork::traverseLocalRing(unsigned ring, unsigned from,
     bool clockwise = true;
     unsigned dist = ringDistance(from, to, stops, clockwise);
 
+    return walkRing(segments.data(), stops, from, dist, clockwise,
+                    start, ser);
+}
+
+Cycle
+TopologyNetwork::walkRing(Link *segments, unsigned stops, unsigned from,
+                          unsigned dist, bool clockwise, Cycle start,
+                          Cycle ser)
+{
+    // Segment i joins stop i to stop i + 1: a clockwise hop leaving
+    // `stop` crosses segment `stop`, a counter-clockwise one crosses
+    // the segment behind it.
     Cycle t = start;
     unsigned stop = from;
     for (unsigned i = 0; i < dist; ++i) {
-        unsigned seg = clockwise ? stop : (stop + stops - 1) % stops;
+        unsigned seg;
+        if (clockwise) {
+            seg = stop;
+            stop = stop + 1 == stops ? 0 : stop + 1;
+        } else {
+            seg = stop == 0 ? stops - 1 : stop - 1;
+            stop = seg;
+        }
         t = reserveLane(segments[seg], t, ser) + _params.hopLatency;
-        stop = clockwise ? (stop + 1) % stops
-                         : (stop + stops - 1) % stops;
     }
     return t;
 }
@@ -190,7 +230,7 @@ TopologyNetwork::route(NodeId src_node, NodeId dst_node, Cycle inject,
 }
 
 Cycle
-TopologyNetwork::serializationCycles(Bytes bytes) const
+TopologyNetwork::serializationFormula(Bytes bytes) const
 {
     auto ser = static_cast<Cycle>(
         (static_cast<double>(bytes) + _params.bytesPerCycle - 1) /
@@ -313,10 +353,10 @@ TopologyNetwork::linkStats(Cycle now) const
         ++stats.links;
         stats.traversals += link.traversals;
         stats.laneWaitCycles += link.waitCycles;
-        if (now > 0 && !link.lanes.empty()) {
+        if (now > 0 && link.lanes > 0) {
             double util = static_cast<double>(link.busyCycles) /
                 (static_cast<double>(now) *
-                 static_cast<double>(link.lanes.size()));
+                 static_cast<double>(link.lanes));
             stats.maxUtilization = std::max(stats.maxUtilization, util);
         }
     };
@@ -333,7 +373,7 @@ TopologyNetwork::linkUtilizations(Cycle now) const
     std::vector<double> utils;
     auto visit = [&](const Link &link) {
         double capacity = static_cast<double>(now) *
-            static_cast<double>(link.lanes.size());
+            static_cast<double>(link.lanes);
         utils.push_back(capacity > 0
                             ? static_cast<double>(link.busyCycles) /
                                   capacity

@@ -25,6 +25,7 @@
 #ifndef TSS_NOC_TOPOLOGY_HH
 #define TSS_NOC_TOPOLOGY_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -192,7 +193,11 @@ class TopologyNetwork : public Network
     /// contention counters.
     struct Link
     {
-        std::vector<Cycle> lanes; ///< busy-until per lane
+        /** Most lanes a link may model (NocParams::lanesPerSegment). */
+        static constexpr unsigned maxLanes = 8;
+
+        std::array<Cycle, maxLanes> laneFree{}; ///< busy-until per lane
+        unsigned lanes = 0;       ///< lanes in use (lanesPerSegment)
         std::uint64_t traversals = 0;
         Cycle busyCycles = 0;     ///< serialization reserved
         Cycle waitCycles = 0;     ///< backpressure waiting for a lane
@@ -207,6 +212,7 @@ class TopologyNetwork : public Network
         unsigned hubStop; ///< this ring's hub stop on the global fabric
     };
 
+    /** Where @p node sits (a table lookup). */
     Location locate(NodeId node) const;
 
     Link makeLink() const;
@@ -221,7 +227,12 @@ class TopologyNetwork : public Network
                                  unsigned n, bool &clockwise);
 
     /** Injection serialization of a @p bytes message (>= 1 cycle). */
-    Cycle serializationCycles(Bytes bytes) const;
+    Cycle
+    serializationCycles(Bytes bytes) const
+    {
+        return bytes < serTable.size() ? serTable[bytes]
+                                       : serializationFormula(bytes);
+    }
 
     /**
      * Reserve the earliest-free lane of @p link from @p t for
@@ -251,6 +262,16 @@ class TopologyNetwork : public Network
     virtual void visitGlobalLinks(
         const std::function<void(const Link &)> &fn) const = 0;
 
+    /**
+     * Walk @p dist hops around a ring of @p stops link @p segments
+     * from stop @p from in the given direction, reserving a lane of
+     * every crossed segment; returns the arrival cycle. Shared by the
+     * local-ring legs and the global ring.
+     */
+    Cycle walkRing(Link *segments, unsigned stops, unsigned from,
+                   unsigned dist, bool clockwise, Cycle start,
+                   Cycle ser);
+
     /** Traverse a local processor ring (shortest direction). */
     Cycle traverseLocalRing(unsigned ring, unsigned from, unsigned to,
                             Cycle start, Cycle ser);
@@ -260,8 +281,22 @@ class TopologyNetwork : public Network
     PlacementMap place;
 
   private:
+    /** Location of node index @p n from the placement map. */
+    Location computeLocation(unsigned n) const;
+
+    /** ceil(bytes / bytesPerCycle), at least one cycle. */
+    Cycle serializationFormula(Bytes bytes) const;
+
     /// Per processor ring: coresPerRing + 1 link segments.
     std::vector<std::vector<Link>> localSegments;
+
+    /// locate() of every node, indexed by NodeId.
+    std::vector<Location> locations;
+
+    /// serializationFormula(b) for every b below the table size,
+    /// which covers every protocol message (the formula's double
+    /// division is the fallback for larger payloads).
+    std::vector<Cycle> serTable;
 };
 
 /**

@@ -186,13 +186,17 @@ SocketServer::stop()
             ::shutdown(fd, SHUT_RDWR);
         to_join.swap(handlers);
     }
-    if (listenFd >= 0) {
+    // Shutting the listener down fails the acceptor's blocked
+    // accept(); the fd is closed and reset only once the acceptor,
+    // which reads it, has been joined.
+    if (listenFd >= 0)
         ::shutdown(listenFd, SHUT_RDWR);
+    if (acceptor.joinable())
+        acceptor.join();
+    if (listenFd >= 0) {
         ::close(listenFd);
         listenFd = -1;
     }
-    if (acceptor.joinable())
-        acceptor.join();
     for (auto &t : to_join)
         t.join();
     ::unlink(socketPath.c_str());

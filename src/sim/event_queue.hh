@@ -12,9 +12,11 @@
 #ifndef TSS_SIM_EVENT_QUEUE_HH
 #define TSS_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "event.hh"
@@ -45,9 +47,15 @@ using EventFn = EventCallback;
  *
  * Storage is split in two: callbacks live in a slab whose slots are
  * recycled through a free list (so scheduling allocates nothing once
- * the slab is warm), while the priority queue orders 32-byte POD keys
- * that reference slab slots. Heap sifts therefore move small PODs
- * instead of whole events.
+ * the slab is warm), while 32-byte POD keys referencing slab slots
+ * carry the ordering. The keys sit in a calendar queue: a ring of
+ * ringBuckets per-cycle buckets covering [now, now + ringBuckets),
+ * each a small heap on (priority, station, seq), plus a 64-bit
+ * occupancy bitmap, so finding the next busy cycle is one rotate and
+ * one count-trailing-zeros. Events beyond the ring's span wait in an
+ * overflow heap on the full key and migrate into the ring as time
+ * advances. Pops follow exactly the (cycle, priority, station, seq)
+ * order a single global heap would produce.
  */
 class EventQueue
 {
@@ -61,11 +69,14 @@ class EventQueue
     /** Current simulated time. */
     Cycle now() const { return _now; }
 
+    /** Per-cycle buckets of the calendar ring (one bitmap word). */
+    static constexpr unsigned ringBuckets = 64;
+
     /** True when no events remain. */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return numPending == 0; }
 
     /** Number of pending events. */
-    std::size_t size() const { return heap.size(); }
+    std::size_t size() const { return numPending; }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return numExecuted; }
@@ -74,7 +85,11 @@ class EventQueue
     Cycle
     nextTime() const
     {
-        return heap.empty() ? invalidCycle : heap.top().when;
+        if (occupied != 0) {
+            int base = static_cast<int>(_now & ringMask);
+            return _now + std::countr_zero(std::rotr(occupied, base));
+        }
+        return overflow.empty() ? invalidCycle : overflow.front().when;
     }
 
     /**
@@ -100,8 +115,14 @@ class EventQueue
             freeSlots.pop_back();
             slab[slot] = std::move(fn);
         }
-        heap.push(Key{when, stationSeq(station), priority, station,
-                      slot});
+        Key key{when, stationSeq(station), priority, station, slot};
+        if (when - _now < ringBuckets) {
+            pushBucket(key);
+        } else {
+            overflow.push_back(key);
+            std::push_heap(overflow.begin(), overflow.end(), Later{});
+        }
+        ++numPending;
     }
 
     /** Schedule an event at an absolute cycle (anonymous station). */
@@ -125,40 +146,9 @@ class EventQueue
     bool
     step()
     {
-        if (heap.empty())
+        if (empty())
             return false;
-        Key top = heap.top();
-        TSS_ASSERT(top.when >= _now, "event queue went backwards");
-        TSS_ASSERT(!(top.when == lastKey.when &&
-                     top.priority == lastKey.priority &&
-                     top.station == lastKey.station &&
-                     top.seq == lastKey.seq && numExecuted > 0),
-                   "duplicate event ordering key (station %d seq %llu "
-                   "at cycle %llu)",
-                   (int)top.station, (unsigned long long)top.seq,
-                   (unsigned long long)top.when);
-        lastKey = top;
-        _now = top.when;
-        heap.pop();
-        EventFn fn = std::move(slab[top.slot]);
-        freeSlots.push_back(top.slot);
-        ++numExecuted;
-        if (trace)
-            obs::traceBuf = trace;
-        if (sink) {
-            execCtx.sink = sink;
-            execCtx.queue = this;
-            execCtx.station = top.station;
-            execCtx.seq = top.seq;
-            execCtx.when = top.when;
-            execCtx.opIndex = 0;
-            fn();
-            execCtx = ExecContext{};
-        } else {
-            fn();
-        }
-        if (trace)
-            obs::traceBuf = nullptr;
+        fire(nextTime());
         return true;
     }
 
@@ -183,8 +173,8 @@ class EventQueue
     runUntil(Cycle limit)
     {
         std::uint64_t n = 0;
-        while (!heap.empty() && heap.top().when <= limit && step())
-            ++n;
+        for (Cycle t; !empty() && (t = nextTime()) <= limit; ++n)
+            fire(t);
         return n;
     }
 
@@ -200,12 +190,10 @@ class EventQueue
     runUntil(Cycle limit, Cycle ahead_after, std::deque<Cycle> *log)
     {
         std::uint64_t n = 0;
-        while (!heap.empty() && heap.top().when <= limit) {
-            if (heap.top().when > ahead_after)
-                log->push_back(heap.top().when);
-            if (!step())
-                break;
-            ++n;
+        for (Cycle t; !empty() && (t = nextTime()) <= limit; ++n) {
+            if (t > ahead_after)
+                log->push_back(t);
+            fire(t);
         }
         return n;
     }
@@ -276,6 +264,8 @@ class EventQueue
         }
     };
 
+    static constexpr Cycle ringMask = ringBuckets - 1;
+
     /** Next per-station sequence number (dense array, -1 at [0]). */
     std::uint64_t
     stationSeq(std::int32_t station)
@@ -286,7 +276,84 @@ class EventQueue
         return seqOf[index]++;
     }
 
-    std::priority_queue<Key, std::vector<Key>, Later> heap;
+    /** File @p key into its cycle's bucket (within the ring span). */
+    void
+    pushBucket(const Key &key)
+    {
+        auto index = static_cast<unsigned>(key.when & ringMask);
+        auto &bucket = ring[index];
+        bucket.push_back(key);
+        std::push_heap(bucket.begin(), bucket.end(), Later{});
+        occupied |= std::uint64_t(1) << index;
+    }
+
+    /**
+     * Execute the first event of cycle @p when (the earliest pending
+     * cycle). Advancing time slides the ring, so overflow events that
+     * now fall inside its span migrate into their buckets first.
+     */
+    void
+    fire(Cycle when)
+    {
+        TSS_ASSERT(when >= _now, "event queue went backwards");
+        if (when != _now) {
+            _now = when;
+            while (!overflow.empty() &&
+                   overflow.front().when - _now < ringBuckets) {
+                std::pop_heap(overflow.begin(), overflow.end(), Later{});
+                pushBucket(overflow.back());
+                overflow.pop_back();
+            }
+        }
+        auto index = static_cast<unsigned>(when & ringMask);
+        auto &bucket = ring[index];
+        std::pop_heap(bucket.begin(), bucket.end(), Later{});
+        Key top = bucket.back();
+        bucket.pop_back();
+        if (bucket.empty())
+            occupied &= ~(std::uint64_t(1) << index);
+        --numPending;
+        TSS_ASSERT(top.when == when, "calendar bucket holds cycle %llu "
+                   "at %llu", (unsigned long long)top.when,
+                   (unsigned long long)when);
+        TSS_ASSERT(!(top.when == lastKey.when &&
+                     top.priority == lastKey.priority &&
+                     top.station == lastKey.station &&
+                     top.seq == lastKey.seq && numExecuted > 0),
+                   "duplicate event ordering key (station %d seq %llu "
+                   "at cycle %llu)",
+                   (int)top.station, (unsigned long long)top.seq,
+                   (unsigned long long)top.when);
+        lastKey = top;
+        EventFn fn = std::move(slab[top.slot]);
+        freeSlots.push_back(top.slot);
+        ++numExecuted;
+        if (trace)
+            obs::traceBuf = trace;
+        if (sink) {
+            execCtx.sink = sink;
+            execCtx.queue = this;
+            execCtx.station = top.station;
+            execCtx.seq = top.seq;
+            execCtx.when = top.when;
+            execCtx.opIndex = 0;
+            fn();
+            execCtx = ExecContext{};
+        } else {
+            fn();
+        }
+        if (trace)
+            obs::traceBuf = nullptr;
+    }
+
+    /// Calendar ring: bucket (t % ringBuckets) holds the events of
+    /// cycle t for t in [_now, _now + ringBuckets); bit i of
+    /// `occupied` is set while bucket i is non-empty.
+    std::array<std::vector<Key>, ringBuckets> ring;
+    std::uint64_t occupied = 0;
+    /// Events at or beyond _now + ringBuckets (a heap on Later).
+    std::vector<Key> overflow;
+    std::size_t numPending = 0;
     std::vector<EventFn> slab;
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint64_t> seqOf;

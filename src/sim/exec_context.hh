@@ -24,6 +24,7 @@
 #define TSS_SIM_EXEC_CONTEXT_HH
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -70,8 +71,9 @@ struct DeferKey
 
 /**
  * Per-shard log of deferred operations. Only the shard's draining
- * thread appends; the engine's barrier (on the main thread) sorts the
- * union of all shards' logs and applies it.
+ * thread appends; the engine's barrier (on the main thread) drains
+ * every shard's log into one reused buffer (drainInto), sorts the
+ * union and applies it. The log keeps its capacity across windows.
  */
 class DeferSink
 {
@@ -85,11 +87,17 @@ class DeferSink
     bool empty() const { return ops.empty(); }
     std::size_t size() const { return ops.size(); }
 
-    /** Move the log out (barrier side); the sink is left empty. */
-    std::vector<std::pair<DeferKey, EventCallback>>
-    take()
+    /**
+     * Append the log to @p out (barrier side) and leave the sink
+     * empty. Both vectors keep their capacity, so a warm barrier
+     * moves deferred operations without touching the allocator.
+     */
+    void
+    drainInto(std::vector<std::pair<DeferKey, EventCallback>> &out)
     {
-        return std::exchange(ops, {});
+        out.insert(out.end(), std::make_move_iterator(ops.begin()),
+                   std::make_move_iterator(ops.end()));
+        ops.clear();
     }
 
   private:

@@ -174,29 +174,18 @@ SimEngine::setTracer(obs::Tracer *t)
 std::size_t
 SimEngine::applyBarrier()
 {
-    merged.clear();
-    for (auto &s : shards) {
-        if (s->sink.empty())
-            continue;
-        auto ops = s->sink.take();
-        merged.insert(merged.end(),
-                      std::make_move_iterator(ops.begin()),
-                      std::make_move_iterator(ops.end()));
-    }
-    if (!merged.empty()) {
-        std::sort(merged.begin(), merged.end(), keyLess);
-        if (pending.empty()) {
-            pending.swap(merged);
-        } else {
-            std::size_t mid = pending.size();
-            pending.insert(pending.end(),
-                           std::make_move_iterator(merged.begin()),
-                           std::make_move_iterator(merged.end()));
-            std::inplace_merge(pending.begin(), pending.begin() + mid,
-                               pending.end(), keyLess);
-            merged.clear();
-        }
-    }
+    // Append this window's logs behind the still-pending (sorted)
+    // ops. Each log is usually in key order already — one shard's
+    // events run in cycle order — so sorting is skipped when the new
+    // tail is sorted, and merging when it also follows the old ops.
+    const std::size_t mid = pending.size();
+    for (auto &s : shards)
+        s->sink.drainInto(pending);
+    auto tail = pending.begin() + static_cast<std::ptrdiff_t>(mid);
+    if (!std::is_sorted(tail, pending.end(), keyLess))
+        std::sort(tail, pending.end(), keyLess);
+    if (mid > 0 && tail != pending.end() && keyLess(*tail, tail[-1]))
+        std::inplace_merge(pending.begin(), tail, pending.end(), keyLess);
     if (pending.empty())
         return 0;
     for (std::size_t i = 1; i < pending.size(); ++i) {

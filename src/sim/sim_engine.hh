@@ -261,9 +261,6 @@ class SimEngine
     Cycle windowEnd = 0;
     /// @}
 
-    /// Barrier scratch: this window's deferred ops (reused).
-    std::vector<std::pair<DeferKey, EventCallback>> merged;
-
     /// Deferred operations not yet below the global horizon, sorted
     /// by key. Always empty at uniform lookahead (every op recorded
     /// in a window lies below the post-drain horizon); carries ops

@@ -166,6 +166,86 @@ class Distribution
 };
 
 /**
+ * An exact histogram of non-negative integer samples (cycle counts):
+ * one counter per value below denseLimit, rarer larger values kept
+ * verbatim. It answers exactly what a Distribution fed the same
+ * samples answers — the mean over the exact integer sum (the sorted
+ * double sum is exact too while it stays below 2^53), nearest-rank
+ * percentiles and the maximum — at O(1) per sample and with no sort
+ * of the bulk at query time. Not thread-safe: the NoC samples it at
+ * window barriers or with no engine attached, always on one thread.
+ */
+class IntHistogram
+{
+  public:
+    /** Values below this count in a dense per-value array. */
+    static constexpr std::uint64_t denseLimit = 4096;
+
+    void
+    sample(std::uint64_t v)
+    {
+        if (v < denseLimit) {
+            if (v >= counts.size())
+                counts.resize(v + 1, 0);
+            ++counts[v];
+        } else {
+            large.push_back(v);
+            largeSorted = false;
+        }
+        ++n;
+        total += v;
+    }
+
+    std::uint64_t count() const { return n; }
+
+    double
+    mean() const
+    {
+        return n == 0 ? 0
+                      : static_cast<double>(total) / static_cast<double>(n);
+    }
+
+    double
+    max() const
+    {
+        if (n == 0)
+            return 0;
+        if (!large.empty())
+            return static_cast<double>(
+                *std::max_element(large.begin(), large.end()));
+        return static_cast<double>(counts.size() - 1);
+    }
+
+    /** Exact percentile in [0, 100] by nearest-rank. */
+    double
+    percentile(double p) const
+    {
+        if (n == 0)
+            return 0;
+        double rank = p / 100.0 * (static_cast<double>(n) - 1);
+        auto idx = std::min<std::uint64_t>(
+            static_cast<std::uint64_t>(rank + 0.5), n - 1);
+        for (std::size_t v = 0; v < counts.size(); ++v) {
+            if (idx < counts[v])
+                return static_cast<double>(v);
+            idx -= counts[v];
+        }
+        if (!largeSorted) {
+            std::sort(large.begin(), large.end());
+            largeSorted = true;
+        }
+        return static_cast<double>(large[idx]);
+    }
+
+  private:
+    std::vector<std::uint64_t> counts; ///< per value, < denseLimit
+    mutable std::vector<std::uint64_t> large;
+    mutable bool largeSorted = true;
+    std::uint64_t n = 0;
+    std::uint64_t total = 0;
+};
+
+/**
  * Time-weighted average of a piecewise-constant quantity (queue
  * occupancy, cores busy, ...). Call update() at every change with the
  * current simulated time.

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "mem/block_layout.hh"
 #include "mem/bucket_allocator.hh"
@@ -15,6 +18,7 @@
 #include "mem/edram.hh"
 #include "mem/free_list.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 namespace tss
 {
@@ -119,6 +123,107 @@ TEST(FreeList, SteadyStateChurnMostlyHitsSram)
     // Alloc/free churn at stable occupancy: the paper's "typical
     // block allocation takes only 1 cycle".
     EXPECT_GT(list.sramHitRate(), 0.99);
+}
+
+/**
+ * The free list as first modeled: every free block index on an eager
+ * stack (filled in reverse so block 0 goes first), with the same SRAM
+ * head-buffer accounting. The on-demand list must match it call for
+ * call.
+ */
+class EagerFreeList
+{
+  public:
+    EagerFreeList(std::uint32_t num_blocks, Edram &edram_model)
+        : edram(edram_model),
+          sramCount(std::min<std::uint32_t>(BlockFreeList::sramEntries,
+                                            num_blocks))
+    {
+        for (std::uint32_t i = num_blocks; i > 0; --i)
+            blocks.push_back(i - 1);
+    }
+
+    std::optional<BlockFreeList::Allocation>
+    allocate()
+    {
+        if (blocks.empty())
+            return std::nullopt;
+        Cycle cost = 1;
+        if (sramCount == 0) {
+            cost += edram.read();
+            sramCount = std::min<std::size_t>(BlockFreeList::sramEntries,
+                                              blocks.size());
+        }
+        std::uint32_t block = blocks.back();
+        blocks.pop_back();
+        --sramCount;
+        return BlockFreeList::Allocation{block, cost};
+    }
+
+    Cycle
+    release(std::uint32_t block)
+    {
+        blocks.push_back(block);
+        Cycle cost = 1;
+        if (sramCount < BlockFreeList::sramEntries) {
+            ++sramCount;
+        } else if (++freesSinceSpill >= BlockFreeList::chainFanout) {
+            freesSinceSpill = 0;
+            cost += edram.write();
+        }
+        return cost;
+    }
+
+    std::size_t numFree() const { return blocks.size(); }
+
+  private:
+    Edram &edram;
+    std::vector<std::uint32_t> blocks;
+    std::size_t sramCount;
+    unsigned freesSinceSpill = 0;
+};
+
+TEST(FreeList, OnDemandListMatchesEagerStack)
+{
+    // Seeded alloc/free phases that drain the SRAM buffer (refills),
+    // overfill it (spills), exhaust the pool and churn: every call
+    // must return the same block and charge the same cycles.
+    constexpr std::uint32_t blocks = 700;
+    Edram edram(1 << 20), ref_edram(1 << 20);
+    BlockFreeList list(blocks, &edram);
+    EagerFreeList ref(blocks, ref_edram);
+    Rng rng(11);
+    std::vector<std::uint32_t> live;
+    unsigned refills = 0, spills = 0, exhausted = 0;
+    for (int step = 0; step < 40000; ++step) {
+        // Phases of allocation- and release-heavy traffic.
+        double p_alloc = (step / 2000) % 2 == 0 ? 0.7 : 0.3;
+        if (live.empty() || rng.chance(p_alloc)) {
+            auto got = list.allocate();
+            auto want = ref.allocate();
+            ASSERT_EQ(got.has_value(), want.has_value()) << step;
+            if (!want) {
+                ++exhausted;
+                continue;
+            }
+            ASSERT_EQ(got->block, want->block) << step;
+            ASSERT_EQ(got->cost, want->cost) << step;
+            refills += want->cost > 1;
+            live.push_back(want->block);
+        } else {
+            std::size_t i = rng.range(live.size());
+            std::uint32_t block = live[i];
+            live[i] = live.back();
+            live.pop_back();
+            Cycle want = ref.release(block);
+            ASSERT_EQ(list.release(block), want) << step;
+            spills += want > 1;
+        }
+        ASSERT_EQ(list.numFree(), ref.numFree()) << step;
+    }
+    EXPECT_GT(refills, 10u);
+    EXPECT_GT(spills, 10u);
+    EXPECT_GT(exhausted, 0u);
 }
 
 TEST(BucketAllocator, RoundsToPowerOfTwo)

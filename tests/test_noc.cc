@@ -20,6 +20,7 @@
 #include "noc/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/stats.hh"
 
 namespace tss
 {
@@ -427,6 +428,78 @@ TEST(MeshNetwork, DeliversAndRecordsContention)
     EXPECT_GT(links.laneWaitCycles, 0u)
         << "64 large same-path messages should contend for lanes";
     EXPECT_GT(links.maxUtilization, 0.0);
+}
+
+TEST(NocLatency, HistogramMatchesSortedSamples)
+{
+    // Integer latencies on both sides of the dense range: the exact
+    // histogram must answer what sorting every sample answers.
+    Rng rng(3);
+    IntHistogram hist;
+    Distribution sorted;
+    EXPECT_EQ(hist.mean(), 0.0);
+    EXPECT_EQ(hist.percentile(95), 0.0);
+    EXPECT_EQ(hist.max(), 0.0);
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t v = rng.chance(0.03)
+            ? IntHistogram::denseLimit + rng.range(100000)
+            : rng.range(300);
+        hist.sample(v);
+        sorted.sample(static_cast<double>(v));
+        if (i % 4999 == 0) {
+            EXPECT_EQ(hist.mean(), sorted.mean()) << i;
+            EXPECT_EQ(hist.percentile(95), sorted.percentile(95)) << i;
+            EXPECT_EQ(hist.max(), sorted.max()) << i;
+        }
+    }
+    EXPECT_EQ(hist.count(), sorted.count());
+    EXPECT_EQ(hist.mean(), sorted.mean());
+    EXPECT_EQ(hist.max(), sorted.max());
+    for (double p : {0.0, 5.0, 50.0, 95.0, 96.9, 97.0, 99.0, 100.0})
+        EXPECT_EQ(hist.percentile(p), sorted.percentile(p)) << p;
+}
+
+TEST(NocLatency, NetworkHistogramMatchesDeliveredLatencies)
+{
+    // Contended traffic from many cores to two L2 banks: the
+    // network's latency statistics equal the sort-based ones over the
+    // latencies the endpoints observed.
+    EventQueue eq;
+    RingNetwork net("noc", eq, smallRing());
+    Distribution observed;
+    struct LatencySink : Endpoint
+    {
+        EventQueue *eq;
+        Distribution *d;
+        void
+        receive(MessagePtr msg) override
+        {
+            d->sample(static_cast<double>(eq->now() - msg->sentAt));
+        }
+    } sink0, sink1;
+    sink0.eq = sink1.eq = &eq;
+    sink0.d = sink1.d = &observed;
+    net.attach(net.l2Node(0), sink0);
+    net.attach(net.l2Node(5), sink1);
+    Rng rng(9);
+    for (int i = 0; i < 3000; ++i) {
+        eq.schedule(rng.range(2000), [&net, &rng, i] {
+            NodeId dst = i % 2 ? net.l2Node(0) : net.l2Node(5);
+            Bytes bytes = rng.chance(0.1) ? 1024 + rng.range(2000)
+                                          : 8 + rng.range(200);
+            net.send(std::make_unique<Message>(
+                net.coreNode(static_cast<unsigned>(rng.range(32))), dst,
+                bytes));
+        });
+    }
+    eq.run();
+    const IntHistogram &lat = net.latencyStat();
+    ASSERT_EQ(lat.count(), 3000u);
+    EXPECT_EQ(lat.count(), observed.count());
+    EXPECT_EQ(lat.mean(), observed.mean());
+    EXPECT_EQ(lat.percentile(95), observed.percentile(95));
+    EXPECT_EQ(lat.max(), observed.max());
+    EXPECT_GT(net.linkStats(eq.now()).laneWaitCycles, 0u);
 }
 
 TEST(FixedNetwork, DistanceFreeDelivery)

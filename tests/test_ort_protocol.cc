@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/ort.hh"
 #include "noc/network.hh"
+#include "sim/random.hh"
 
 namespace tss
 {
@@ -168,6 +171,51 @@ TEST_F(OrtFixture, VersionDeadReturnsCreditAndReclaims)
     std::size_t before = ort->freeVersionSlots();
     send<VersionDeadMsg>(creates[0]->slot, creates[0]->ortEntry);
     EXPECT_EQ(ort->freeVersionSlots(), before + 1);
+}
+
+TEST_F(OrtFixture, SlotCreditsMatchEagerStack)
+{
+    // The slot pool starts full and hands out exactly the ids of a
+    // stack pre-filled with n-1, ..., 0: fresh slots in increasing
+    // order, released ones most recent first. Each reuse carries the
+    // slot's next epoch.
+    const std::uint32_t slots = cfg.slotsPerOvt();
+    ASSERT_EQ(ort->freeVersionSlots(), slots);
+    std::vector<std::uint32_t> eager;
+    for (std::uint32_t s = slots; s > 0; --s)
+        eager.push_back(s - 1);
+    std::vector<std::uint32_t> deaths(slots, 0);
+
+    Rng rng(5);
+    std::vector<const CreateVersionMsg *> live;
+    std::uint64_t addr = 0x200000u;
+    for (int step = 0; step < 400; ++step) {
+        // Keep at most 10 objects live so no 16-way set fills up.
+        if (live.empty() || (live.size() < 10 && rng.chance(0.6))) {
+            auto before =
+                ovtProbe.of<CreateVersionMsg>(MsgType::CreateVersion);
+            send<DecodeOperandMsg>(op(1, 0), Dir::Out, addr, Bytes(64));
+            addr += 0x1000u;
+            auto after =
+                ovtProbe.of<CreateVersionMsg>(MsgType::CreateVersion);
+            ASSERT_EQ(after.size(), before.size() + 1);
+            const CreateVersionMsg *c = after.back();
+            ASSERT_EQ(c->slot, eager.back()) << step;
+            EXPECT_EQ(c->epoch, deaths[c->slot]) << step;
+            eager.pop_back();
+            live.push_back(c);
+        } else {
+            std::size_t i = rng.range(live.size());
+            const CreateVersionMsg *c = live[i];
+            live[i] = live.back();
+            live.pop_back();
+            send<VersionDeadMsg>(c->slot, c->ortEntry);
+            eager.push_back(c->slot);
+            ++deaths[c->slot];
+        }
+        ASSERT_EQ(ort->freeVersionSlots(), eager.size()) << step;
+    }
+    EXPECT_EQ(gwProbe.count(MsgType::GatewayStall), 0u);
 }
 
 TEST_F(OrtFixture, FullSetStallsGatewayAndRecovers)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <queue>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -167,6 +169,180 @@ TEST(EventQueue, NextTimeTracksEarliestPending)
     EXPECT_EQ(eq.nextTime(), 40u);
     eq.step();
     EXPECT_EQ(eq.nextTime(), invalidCycle);
+}
+
+/**
+ * Reference model of the event order: one binary heap over
+ * (cycle, priority, station, per-station sequence) — the comparator
+ * of the queue before it became a calendar queue.
+ */
+class ReferenceQueue
+{
+  public:
+    struct Key
+    {
+        Cycle when;
+        std::uint64_t seq;
+        int priority;
+        std::int32_t station;
+        int id;
+    };
+
+    void
+    schedule(Cycle when, std::int32_t station, int priority, int id)
+    {
+        heap.push(Key{when, seqOf[station]++, priority, station, id});
+    }
+
+    Key
+    pop()
+    {
+        Key top = heap.top();
+        heap.pop();
+        return top;
+    }
+
+    Cycle
+    nextTime() const
+    {
+        return heap.empty() ? invalidCycle : heap.top().when;
+    }
+
+    std::size_t size() const { return heap.size(); }
+    bool empty() const { return heap.empty(); }
+
+  private:
+    struct Later
+    {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            if (a.priority != b.priority)
+                return a.priority > b.priority;
+            if (a.station != b.station)
+                return a.station > b.station;
+            return a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Key, std::vector<Key>, Later> heap;
+    std::map<std::int32_t, std::uint64_t> seqOf;
+};
+
+/**
+ * Seeded random schedules run through the EventQueue and the
+ * reference heap in lockstep: every event, when it fires, pops the
+ * reference and checks it is the same event at the same cycle, then
+ * schedules random children into both — same-cycle bursts, events at
+ * the current cycle, short hops and delays beyond the calendar ring's
+ * span (so overflow events migrate), over mixed priorities and
+ * stations including the anonymous one.
+ */
+class QueueDifferential
+{
+  public:
+    explicit QueueDifferential(std::uint64_t seed) : rng(seed) {}
+
+    void
+    schedule(Cycle when)
+    {
+        auto station = static_cast<std::int32_t>(rng.rangeInclusive(-1, 5));
+        auto priority = static_cast<int>(rng.rangeInclusive(-1, 2));
+        int id = nextId++;
+        ref.schedule(when, station, priority, id);
+        eq.scheduleStation(when, station, [this, id] { fire(id); },
+                           priority);
+    }
+
+    /** Schedule a burst of @p n events at one cycle. */
+    void
+    burst(Cycle when, unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            schedule(when);
+    }
+
+    /** Queue-level observables must agree between events. */
+    void
+    expectSameState() const
+    {
+        ASSERT_EQ(eq.nextTime(), ref.nextTime());
+        ASSERT_EQ(eq.size(), ref.size());
+        ASSERT_EQ(eq.empty(), ref.empty());
+    }
+
+    EventQueue eq;
+    ReferenceQueue ref;
+    Rng rng;
+    std::uint64_t fired = 0;
+    std::uint64_t mismatches = 0;
+
+  private:
+    /** Delay of a child event: now, short, or past the ring span. */
+    Cycle
+    childDelay()
+    {
+        std::uint64_t kind = rng.range(10);
+        if (kind < 2)
+            return 0;
+        if (kind < 7)
+            return rng.range(20);
+        if (kind < 9)
+            return rng.range(EventQueue::ringBuckets * 2);
+        return EventQueue::ringBuckets + rng.range(1000);
+    }
+
+    void
+    fire(int id)
+    {
+        ++fired;
+        ReferenceQueue::Key expect = ref.pop();
+        if (expect.id != id || expect.when != eq.now())
+            ++mismatches;
+        EXPECT_EQ(eq.size(), ref.size());
+        // 0.9 children per event on average, plus rare bursts.
+        std::uint64_t kids = rng.range(10) < 5 ? 1 : rng.range(2) * 2;
+        if (kids == 2 && rng.chance(0.2))
+            kids = 0;
+        for (std::uint64_t k = 0; k < kids; ++k)
+            schedule(eq.now() + childDelay());
+        if (rng.chance(0.01))
+            burst(eq.now() + childDelay(), 2 + rng.range(16));
+    }
+
+    int nextId = 0;
+};
+
+TEST(EventQueue, CalendarMatchesReferenceHeap)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        QueueDifferential d(seed);
+        d.burst(0, 20);
+        for (Cycle t = 0; t < 300; ++t)
+            d.schedule(d.rng.range(2000));
+        d.expectSameState();
+        for (int round = 0; round < 4000 && !d.eq.empty(); ++round) {
+            if (d.rng.chance(0.2)) {
+                // runUntil: everything at or below the limit fires,
+                // nothing beyond it.
+                Cycle limit = d.eq.now() + d.rng.range(150);
+                std::uint64_t before = d.fired;
+                std::uint64_t n = d.eq.runUntil(limit);
+                EXPECT_EQ(n, d.fired - before);
+                EXPECT_TRUE(d.ref.empty() || d.ref.nextTime() > limit);
+            } else {
+                ASSERT_TRUE(d.eq.step());
+            }
+            d.expectSameState();
+            if (d.eq.size() < 20)
+                d.burst(d.eq.now() + d.rng.range(300), 30);
+        }
+        EXPECT_EQ(d.mismatches, 0u) << "seed " << seed;
+        EXPECT_GT(d.fired, 10000u) << "seed " << seed;
+        EXPECT_EQ(d.eq.executed(), d.fired);
+    }
 }
 
 TEST(Clock, ConvertsPaperConstants)

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +21,63 @@
 #include "driver/experiment.hh"
 #include "noc/network.hh"
 #include "sim/sim_engine.hh"
+
+/// Every global operator new of this test binary, counted so a test
+/// can assert a code path performs no heap allocation. All plain and
+/// nothrow forms are replaced together so every delete matches.
+static std::atomic<std::uint64_t> globalNews{0};
+
+static void *
+countedAlloc(std::size_t bytes) noexcept
+{
+    globalNews.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(bytes == 0 ? 1 : bytes);
+}
+
+void *
+operator new(std::size_t bytes)
+{
+    if (void *p = countedAlloc(bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t bytes)
+{
+    if (void *p = countedAlloc(bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(bytes);
+}
+
+void *
+operator new[](std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(bytes);
+}
+
+// GCC cannot tell these replacements pair with the ones above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace tss
 {
@@ -282,6 +342,62 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
     for (unsigned i = 0; i < results.size(); ++i)
         expectIdentical(results[i], baseline,
                         "concurrent run " + std::to_string(i));
+}
+
+TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
+{
+    // Two stations in two domains keep eight messages each bouncing
+    // forever, so most windows have both shards active and every
+    // window defers sends to its barrier. Once the queues, message
+    // pools, defer logs and the barrier buffer are warm, windows must
+    // run without a single heap allocation.
+    constexpr Cycle latency = 3;
+    SimEngine engine(2, 1);
+    SimpleNetwork net("net", engine.shard(0), latency);
+    engine.setLookahead(net.minDeliveryDelay());
+
+    struct Echo : Endpoint
+    {
+        Network *net = nullptr;
+        NodeId self = 0;
+
+        void
+        receive(MessagePtr msg) override
+        {
+            net->send(std::make_unique<Message>(self, msg->src, 16));
+        }
+    };
+
+    Echo a, b;
+    a.net = b.net = &net;
+    a.self = 0;
+    b.self = 1;
+    net.attach(0, a);
+    net.attach(1, b);
+    net.bindQueue(0, engine.shard(0));
+    net.bindQueue(1, engine.shard(1));
+    for (Cycle t = 1; t <= 8; ++t) {
+        engine.shard(0).scheduleStation(t, 0, [&net] {
+            net.send(std::make_unique<Message>(0, 1, 16));
+        });
+        engine.shard(1).scheduleStation(t, 1, [&net] {
+            net.send(std::make_unique<Message>(1, 0, 16));
+        });
+    }
+
+    engine.run(20000); // warm-up
+    const auto windows = engine.windowStats().windows;
+    const auto multi = engine.windowStats().multiShard;
+    const auto events = engine.executed();
+
+    std::uint64_t before = globalNews.load();
+    engine.run(50000);
+    std::uint64_t news = globalNews.load() - before;
+
+    EXPECT_EQ(news, 0u) << "heap allocations in warm windows";
+    EXPECT_GE(engine.executed() - events, 50000u);
+    EXPECT_GT(engine.windowStats().windows - windows, 1000u);
+    EXPECT_GT(engine.windowStats().multiShard - multi, 1000u);
 }
 
 TEST(SimEngine, ThreadsClampToDomainsAndOverClampIsIdentical)
