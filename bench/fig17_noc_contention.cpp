@@ -51,20 +51,11 @@
  * Usage: fig17_noc_contention [--quick|--full] [--json]
  *        [--trace=off|tail|full]
  *        [--pipes=N] [--gen-threads=N] [--credits=N]
- *        [--relocate-seed=N] [--relocate-align=N] [--sim-threads=N]
- *        [--lookahead=global|matrix]
+ *        [--relocate-seed=N] [--relocate-align=N]
  *
  * `--json` prints the numbers as the BENCH_noc.json section
  * `fig17_quick` (`fig17_full` without --quick) on stdout and the
  * tables on stderr.
- *
- * `--sim-threads=N` drains every simulation on N host threads
- * (sim/sim_engine.hh); all simulated numbers are bit-identical for
- * any value — CI captures the sweep at 1 and 4 threads and diffs the
- * two JSONs exactly. `--lookahead=global` swaps the default
- * per-domain delay-matrix engine for the uniform-lookahead reference;
- * CI diffs that capture against the default too, proving the matrix
- * is invisible to simulated state on the full sweep.
  */
 
 #include <cstdlib>
@@ -180,8 +171,6 @@ main(int argc, char **argv)
     unsigned pipes = opts.pipes.value_or(4);
     unsigned gen_threads = opts.genThreads(8);
     unsigned credits = opts.credits.value_or(1);
-    unsigned sim_threads = opts.simThreads.value_or(1);
-    const std::optional<bool> lookahead_matrix = opts.lookaheadMatrix;
     // --trace=off proves in CI that the default tail-mode tracer
     // never perturbs the gated simulated cells.
     const std::optional<tss::obs::TraceMode> trace_mode =
@@ -245,11 +234,8 @@ main(int argc, char **argv)
             tss::PipelineConfig cfg = tss::paperConfig(256);
             cfg.numPipelines = pipes;
             cfg.slicePacketCredits = credits;
-            cfg.simThreads = sim_threads;
             if (trace_mode)
                 cfg.traceMode = *trace_mode;
-            if (lookahead_matrix)
-                cfg.lookaheadMatrix = *lookahead_matrix;
             cfg.nocTopology = pt.topology;
             cfg.nocPlacement = pt.placement;
             cfg.batchOperands = pt.batch;
@@ -312,11 +298,8 @@ main(int argc, char **argv)
                 tss::PipelineConfig cfg = tss::paperConfig(256);
                 cfg.numPipelines = p;
                 cfg.slicePacketCredits = credits;
-                cfg.simThreads = sim_threads;
                 if (trace_mode)
                     cfg.traceMode = *trace_mode;
-                if (lookahead_matrix)
-                    cfg.lookaheadMatrix = *lookahead_matrix;
                 cfg.idealAdmission = oracle;
                 tss::RunResult r = tss::runHardwareThreads(
                     cfg, prog.trace, gen_threads);
@@ -374,11 +357,8 @@ main(int argc, char **argv)
             tss::PipelineConfig cfg = tss::paperConfig(256);
             cfg.numPipelines = pipes;
             cfg.slicePacketCredits = credits;
-            cfg.simThreads = sim_threads;
             if (trace_mode)
                 cfg.traceMode = *trace_mode;
-            if (lookahead_matrix)
-                cfg.lookaheadMatrix = *lookahead_matrix;
             tss::RunResult r =
                 tss::runHardwareThreads(cfg, trace, gen_threads);
             checkTopological(trace, r, prog.name,

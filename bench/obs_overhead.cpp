@@ -12,7 +12,7 @@
  * start order) is bit-identical across all three modes — tracing must
  * observe the machine, never steer it.
  *
- * Usage: obs_overhead [--reps=N] [--scale=S] [--sim-threads=N]
+ * Usage: obs_overhead [--reps=N] [--scale=S]
  */
 
 #include <chrono>
@@ -37,14 +37,13 @@ struct ModeResult
 
 ModeResult
 runMode(const tss::TaskTrace &trace, tss::obs::TraceMode mode,
-        unsigned sim_threads, unsigned reps)
+        unsigned reps)
 {
     ModeResult out;
     for (unsigned rep = 0; rep < reps; ++rep) {
         tss::PipelineConfig cfg;
         cfg.numCores = 64;
         cfg.numPipelines = 2;
-        cfg.simThreads = sim_threads;
         cfg.traceMode = mode;
         auto sys = tss::SystemBuilder(cfg, trace).build();
         auto t0 = std::chrono::steady_clock::now();
@@ -76,21 +75,16 @@ int
 main(int argc, char **argv)
 {
     tss::CliArgs args(argc, argv);
-    unsigned reps =
-        static_cast<unsigned>(args.getLong("reps", 3));
-    unsigned sim_threads =
-        static_cast<unsigned>(args.getLong("sim-threads", 1));
+    auto reps =
+        static_cast<unsigned>(args.getBounded("reps", 1, 100).value_or(3));
     double scale = args.scale(0.25, 1.0, 1.0);
 
     tss::TaskTrace trace = tss::genCholeskyBlocked(
         static_cast<unsigned>(16 * scale) + 4, 16 * 1024, 1);
 
-    ModeResult off =
-        runMode(trace, tss::obs::TraceMode::Off, sim_threads, reps);
-    ModeResult tail =
-        runMode(trace, tss::obs::TraceMode::Tail, sim_threads, reps);
-    ModeResult full =
-        runMode(trace, tss::obs::TraceMode::Full, sim_threads, reps);
+    ModeResult off = runMode(trace, tss::obs::TraceMode::Off, reps);
+    ModeResult tail = runMode(trace, tss::obs::TraceMode::Tail, reps);
+    ModeResult full = runMode(trace, tss::obs::TraceMode::Full, reps);
 
     // The hard gate: tracing never changes the simulation.
     if (!sameSimulation(off.result, tail.result) ||

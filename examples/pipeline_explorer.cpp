@@ -10,7 +10,7 @@
  *       --trs=8 --ort=2 --trs-kb=6144 --ort-kb=512 [--sw] [--csv] \
  *       [--pipes=N] [--gen-threads=N] [--topology=fixed|ring|mesh] \
  *       [--placement=adjacent|spread|random] [--batch] [--credits=N] \
- *       [--relocate] [--relocate-seed=N] [--sim-threads=N]
+ *       [--relocate] [--relocate-seed=N]
  */
 
 #include <iostream>

@@ -178,33 +178,14 @@ struct PipelineConfig
     Bytes renameRegionBytes = Bytes(1) << 32; ///< OS-assigned space
     /// @}
 
-    /**
-     * Host threads draining the parallel simulation engine's event
-     * shards (one shard per pipeline NoC domain; clamped to that).
-     * Purely a host-side knob: results are bit-identical for every
-     * value — the engine runs the same windowed algorithm and merges
-     * cross-domain operations in a simulated-state order (see
-     * sim/sim_engine.hh).
-     */
+    /// @name Inert. The simulator drains on one thread with one
+    /// uniform lookahead (sim/sim_engine.hh); nothing reads these.
+    /// They remain only because the frozen perfbench/ still sets
+    /// them, and go with the next change to that benchmark.
+    /// @{
     unsigned simThreads = 1;
-
-    /**
-     * Parallel-engine lookahead mode (default on). False: every
-     * domain drains exactly one grid window, the machine-wide
-     * minimum delivery delay. True: a domain whose minimum *incoming*
-     * communication-edge pair delay exceeds that (the dedicated
-     * backend domain, chiefly — SystemBuilder wires the edges from
-     * the placed topology) runs ahead of the grid, bulk-draining up
-     * to that delay and sitting out the grid windows it pre-executed.
-     * The grid itself — window starts, barriers, horizons, floors —
-     * never moves, so simulated results are bit-identical across both
-     * modes and every simThreads value by construction (see
-     * sim/sim_engine.hh for the argument; tests/test_fuzz_lookahead.cc
-     * pins it across topologies, placements and thread counts). The
-     * global mode stays reachable via --lookahead=global as the
-     * plain-reference engine.
-     */
     bool lookaheadMatrix = true;
+    /// @}
 
     /// @name Observability (src/obs). Host-side only: no trace mode
     /// or filter ever changes a simulated decision or statistic —

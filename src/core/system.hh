@@ -78,17 +78,16 @@ struct RunResult
     double maxLinkUtilization = 0;      ///< busiest link busy fraction
     /// @}
 
-    /// @name Parallel-engine window structure. Pure functions of
-    /// simulated state (never of the host thread count) — gated
-    /// exactly in BENCH_sim.json. See SimEngine::WindowStats.
+    /// @name Engine window structure. Pure functions of simulated
+    /// state — gated exactly in BENCH_sim.json. See
+    /// SimEngine::WindowStats.
     /// @{
     std::uint64_t simWindows = 0;          ///< lookahead windows run
-    std::uint64_t simSingleShardWindows = 0; ///< fused inline windows
+    std::uint64_t simSingleShardWindows = 0; ///< one active shard
     std::uint64_t simFusedWindows = 0;     ///< consecutive single-shard
-    std::uint64_t simMultiShardWindows = 0; ///< pool-dispatched windows
+    std::uint64_t simMultiShardWindows = 0; ///< >= 2 active shards
     std::uint64_t simWindowOccupancySum = 0; ///< Σ active shards
     std::uint64_t simMaxWindowOccupancy = 0; ///< peak active shards
-    std::vector<Cycle> simDomainLookahead; ///< window length per domain
     /// @}
 
     /** Trace indices ordered by execution start time. */
@@ -258,8 +257,7 @@ class System
         : cfg(config), trace(task_trace),
           // One domain per pipeline plus the dedicated backend
           // domain (network / DMA / scheduler).
-          engine(std::make_unique<SimEngine>(config.numPipelines + 1,
-                                             config.simThreads)),
+          engine(std::make_unique<SimEngine>(config.numPipelines + 1)),
           registry(task_trace)
     {}
 

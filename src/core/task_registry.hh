@@ -59,7 +59,7 @@ class TaskRegistry
 
     /**
      * Switch the id map to a flat per-<TRS, SLOT> table. Required
-     * under the parallel engine: each TRS binds/unbinds only its own
+     * under the windowed engine: each TRS binds/unbinds only its own
      * rows (no shared hash-map mutation), and lookups from worker
      * cores in other NoC domains read fixed memory locations whose
      * writes are ordered by the engine's window barriers.
@@ -246,8 +246,7 @@ class TaskRegistry
     /// first use: TRS slots are handed out as a dense prefix per TRS,
     /// so a run touches few pages. Every page belongs to one TRS and
     /// is only created by it, and readers only look up ids bound in
-    /// earlier events, so page creation needs no lock under the
-    /// parallel engine.
+    /// earlier events, so page creation needs no lock.
     std::vector<std::unique_ptr<IdEntry[]>> idPages;
     std::size_t pagesPerTrs = 0;
     unsigned slotsPerTrs = 0;

@@ -142,7 +142,7 @@ class Trs : public FrontendModule
     /**
      * Retirement side of handleTaskFinished that touches machine-wide
      * state (registry watermark + gateway broadcast). Runs deferred
-     * at the window barrier under the parallel engine.
+     * at the window barrier under the windowed engine.
      */
     void applyFinish(std::uint32_t trace_index, Cycle flush_at);
 

@@ -1,11 +1,32 @@
 #include "cli.hh"
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "sim/logging.hh"
 
 namespace tss
 {
+
+std::optional<std::uint64_t>
+parseBounded(const std::string &text, std::uint64_t min,
+             std::uint64_t max)
+{
+    if (text.empty())
+        return std::nullopt;
+    std::uint64_t value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (UINT64_MAX - digit) / 10)
+            return std::nullopt;
+        value = value * 10 + digit;
+    }
+    if (value < min || value > max)
+        return std::nullopt;
+    return value;
+}
 
 CliArgs::CliArgs(int argc, char **argv)
 {
@@ -48,6 +69,22 @@ CliArgs::getLong(const std::string &key, long fallback) const
 {
     auto it = values.find(key);
     return it == values.end() ? fallback : std::atol(it->second.c_str());
+}
+
+std::optional<std::uint64_t>
+CliArgs::getBounded(const std::string &key, std::uint64_t min,
+                    std::uint64_t max) const
+{
+    auto it = values.find(key);
+    if (it == values.end())
+        return std::nullopt;
+    auto value = parseBounded(it->second, min, max);
+    if (!value) {
+        fatal("--%s must be an integer in [%llu, %llu] (got '%s')",
+              key.c_str(), (unsigned long long)min,
+              (unsigned long long)max, it->second.c_str());
+    }
+    return value;
 }
 
 double

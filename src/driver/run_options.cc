@@ -9,25 +9,11 @@ namespace
 {
 
 std::optional<unsigned>
-parseUnsigned(const CliArgs &args, const char *key, long min_value = 0)
+parseUnsigned(const CliArgs &args, const char *key, unsigned min_value = 0)
 {
-    if (!args.has(key))
-        return std::nullopt;
-    long value = args.getLong(key, 0);
-    if (value < min_value)
-        fatal("--%s must be >= %ld", key, min_value);
-    return static_cast<unsigned>(value);
-}
-
-std::optional<std::uint64_t>
-parseU64(const CliArgs &args, const char *key)
-{
-    if (!args.has(key))
-        return std::nullopt;
-    long value = args.getLong(key, 0);
-    if (value < 0)
-        fatal("--%s must be >= 0", key);
-    return static_cast<std::uint64_t>(value);
+    auto value = args.getBounded(key, min_value, UINT32_MAX);
+    return value ? std::optional<unsigned>(static_cast<unsigned>(*value))
+                 : std::nullopt;
 }
 
 } // namespace
@@ -42,7 +28,7 @@ RunOptions::parse(const CliArgs &args)
     std::string place = args.get("placement", "");
     if (!place.empty())
         opts.placement = placementFromString(place);
-    opts.placementSeed = parseU64(args, "placement-seed");
+    opts.placementSeed = args.getBounded("placement-seed", 0, UINT64_MAX);
     opts.batch = args.has("batch");
     opts.idealAdmission = args.has("ideal-admission");
     opts.credits = parseUnsigned(args, "credits");
@@ -57,19 +43,11 @@ RunOptions::parse(const CliArgs &args)
         opts.ovtKb = Bytes(*kb) * 1024;
     opts.cores = parseUnsigned(args, "cores", 1);
     opts.generatingThreads = parseUnsigned(args, "gen-threads", 1);
-    opts.simThreads = parseUnsigned(args, "sim-threads", 1);
-    std::string la = args.get("lookahead", "");
-    if (!la.empty()) {
-        if (la != "global" && la != "matrix")
-            fatal("--lookahead must be global or matrix (got '%s')",
-                  la.c_str());
-        opts.lookaheadMatrix = (la == "matrix");
-    }
     opts.noRename = args.has("no-rename");
     opts.noChaining = args.has("no-chaining");
     opts.relocate = args.has("relocate");
-    opts.relocateSeed = parseU64(args, "relocate-seed");
-    opts.relocateAlign = parseU64(args, "relocate-align");
+    opts.relocateSeed = args.getBounded("relocate-seed", 0, UINT64_MAX);
+    opts.relocateAlign = args.getBounded("relocate-align", 0, UINT64_MAX);
     std::string trace = args.get("trace", "");
     if (!trace.empty()) {
         if (trace != "off" && trace != "tail" && trace != "full")
@@ -103,10 +81,6 @@ RunOptions::apply(PipelineConfig &cfg) const
         cfg.batchOperands = true;
     if (idealAdmission)
         cfg.idealAdmission = true;
-    if (simThreads)
-        cfg.simThreads = *simThreads;
-    if (lookaheadMatrix)
-        cfg.lookaheadMatrix = *lookaheadMatrix;
     if (credits)
         cfg.slicePacketCredits = *credits;
     if (pipes)

@@ -4,8 +4,8 @@
  * test driver and the tss-serve daemon: RunOptions parses the common
  * command-line knobs once (NoC topology/placement, operand batching,
  * flow-control credits, pipeline/module counts, storage capacities,
- * simulation-engine host threads, trace relocation) and applies them
- * onto a PipelineConfig / RelocationOptions pair.
+ * trace relocation) and applies them onto a PipelineConfig /
+ * RelocationOptions pair.
  *
  * Every knob is tri-state: a field is applied only when it was
  * actually given on the command line, so callers keep their own
@@ -39,16 +39,16 @@ class RunOptions
      *   --topology=fixed|ring|mesh   --placement=adjacent|spread|random
      *   --placement-seed=N  --batch  --ideal-admission  --credits=N
      *   --pipes=N  --trs=N  --ort=N  --trs-kb=N --ort-kb=N --ovt-kb=N
-     *   --cores=N  --gen-threads=N   --sim-threads=N
-     *   --lookahead=global|matrix
+     *   --cores=N  --gen-threads=N
      *   --relocate  --relocate-seed=N  --relocate-align=N
      *   --no-rename  --no-chaining
      *   --trace=off|tail|full  --trace-out=PATH (implies full)
      *   --trace-filter=task,version,noc,engine,serve|all
      *   --trace-tail=N  --metrics-out=PATH
      *
-     * Unknown *values* (e.g. --topology=torus) call fatal(); flags the
-     * caller's bench does not care about are simply never applied.
+     * Unknown or out-of-range *values* (e.g. --topology=torus,
+     * --pipes=0, --cores=-1) call fatal(); flags the caller's bench
+     * does not care about are simply never applied.
      */
     static RunOptions parse(const CliArgs &args);
 
@@ -99,8 +99,6 @@ class RunOptions
     std::optional<Bytes> ovtKb;
     std::optional<unsigned> cores;
     std::optional<unsigned> generatingThreads;
-    std::optional<unsigned> simThreads;
-    std::optional<bool> lookaheadMatrix;
     bool noRename = false;   ///< --no-rename given
     bool noChaining = false; ///< --no-chaining given
     bool relocate = false;   ///< --relocate given

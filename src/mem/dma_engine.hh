@@ -39,7 +39,7 @@ class DmaEngine : public SimObject
 
     /**
      * Enqueue a copy of @p bytes; @p done fires at completion. The
-     * channel is shared global state, so under the parallel engine
+     * channel is shared global state, so under the windowed engine
      * the reservation is deferred to the window barrier (like
      * Network::send); the completion callback is scheduled back onto
      * the requesting station's own queue shard.

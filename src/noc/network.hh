@@ -22,11 +22,11 @@ namespace tss
  * A network delivers messages between attached endpoints after some
  * modeled delay, preserving per source->destination FIFO order.
  *
- * Under the parallel engine (sim/sim_engine.hh) the network is shared
+ * Under the windowed engine (sim/sim_engine.hh) the network is shared
  * global state: routing mutates lane reservations and the FIFO clamp.
  * send() therefore defers — it records the injection into the calling
  * event's DeferSink, and the actual routing (sendAt) runs at the
- * window barrier, single-threaded, in deterministic key order. With
+ * window barrier, in deterministic key order. With
  * no engine attached (execCtx.sink == nullptr) send() routes
  * immediately, the historical behavior.
  */
@@ -63,7 +63,7 @@ class Network : public SimObject
 
     /**
      * Inject @p msg; ownership passes to the network. Routes now, or
-     * defers to the window barrier under the parallel engine.
+     * defers to the window barrier under the windowed engine.
      */
     void
     send(MessagePtr msg)
@@ -89,40 +89,9 @@ class Network : public SimObject
 
     /**
      * Lower bound on inject-to-delivery delay between two *distinct*
-     * stations; the engine's conservative lookahead window length.
+     * stations; the engine's lookahead window length.
      */
     virtual Cycle minDeliveryDelay() const = 0;
-
-    /**
-     * Lower bound on inject-to-delivery delay from station @p src to
-     * a *distinct* station @p dst — the per-pair refinement of
-     * minDeliveryDelay() behind the engine's delay-matrix lookahead
-     * (adjacent stations are one hop; cross-ring routes many more).
-     * The base implementation returns the machine-wide minimum, so
-     * networks without a distance model degrade to the global window.
-     */
-    virtual Cycle
-    pairDelay(NodeId src, NodeId dst) const
-    {
-        (void)src;
-        (void)dst;
-        return minDeliveryDelay();
-    }
-
-    /**
-     * Lower bound on the delay of a station's message *to itself* of
-     * @p bytes size (pure serialization for the placed topologies,
-     * plus the end-to-end latency for the fixed one). Self-messages
-     * are the only deliveries the conservative floor may clamp, so
-     * per-domain lookaheads are capped at this bound to keep the
-     * floor provably inert (see sim/sim_engine.hh).
-     */
-    virtual Cycle
-    selfDelay(Bytes bytes) const
-    {
-        (void)bytes;
-        return minDeliveryDelay();
-    }
 
     std::uint64_t messagesSent() const { return numMessages.value(); }
     const IntHistogram &latencyStat() const { return latencies; }

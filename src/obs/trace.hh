@@ -18,7 +18,7 @@
  * surviving per-shard tails once at the end. Both the per-shard
  * contents and the barrier apply order are pure functions of
  * simulated state, so the drained record stream — and the exported
- * Chrome trace-event JSON — is byte-identical for any --sim-threads.
+ * Chrome trace-event JSON — is byte-identical from run to run.
  *
  * The exporter emits integers only (cycle timestamps, packed ids), so
  * the bytes are also host-independent.
@@ -253,8 +253,8 @@ class Tracer
     /**
      * Merge this window's shard + barrier buffers into the retained
      * log: concatenate in shard-index order (barrier buffer last) and
-     * stable-sort by (when, station, seq, sub). Deterministic for any
-     * host thread count by construction. In Tail mode this is a no-op
+     * stable-sort by (when, station, seq, sub). Deterministic by
+     * construction. In Tail mode this is a no-op
      * — the ring buffers retain their own tails and tailJson()
      * end-sorts them once, so the per-window concat + sort never runs
      * on the hot path.

@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared lock-free worker-pool substrate: a Chase–Lev work-stealing
- * deque and a progressive idle backoff. Extracted from the
- * ParallelExecutor (runtime/parallel_exec.cc) so the parallel
- * simulation engine (sim/sim_engine.cc) runs on the same proven
- * primitives.
+ * Lock-free worker-pool substrate of the ParallelExecutor
+ * (runtime/parallel_exec.cc): a Chase–Lev work-stealing deque and a
+ * progressive idle backoff.
  */
 
 #ifndef TSS_RUNTIME_WORK_DEQUE_HH

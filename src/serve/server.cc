@@ -87,8 +87,13 @@ SocketServer::serveConnection(int fd)
         Frame reply;
         switch (frame.type) {
         case MsgType::Hello: {
-            tenant = service.openTenant(
+            TenantId opened = service.openTenant(
                 frame.payload.empty() ? "anonymous" : frame.payload);
+            if (opened == invalidTenant) {
+                reply = {MsgType::Error, "tenant carve space exhausted"};
+                break;
+            }
+            tenant = opened;
             have_tenant = true;
             std::ostringstream os;
             os << tenant << " " << service.carveBaseOf(tenant) << " "

@@ -68,13 +68,17 @@ TenantId
 TraceService::openTenant(std::string name)
 {
     std::lock_guard<std::mutex> lock(stateMutex);
+    // Tenant i owns [base + i * bytes, base + (i + 1) * bytes); the
+    // carve must end inside the address space.
+    std::uint64_t id = tenants.size();
+    if (id + 1 > (UINT64_MAX - cfg.carveBase) / cfg.carveBytes ||
+        id >= invalidTenant)
+        return invalidTenant;
     auto tenant = std::make_unique<Tenant>();
-    tenant->id = static_cast<TenantId>(tenants.size());
+    tenant->id = static_cast<TenantId>(id);
     tenant->name = std::move(name);
-    tenant->carveBase = cfg.carveBase + tenant->id * cfg.carveBytes;
+    tenant->carveBase = cfg.carveBase + id * cfg.carveBytes;
     tenant->carveEnd = tenant->carveBase + cfg.carveBytes;
-    if (tenant->carveEnd <= tenant->carveBase)
-        fatal("tss-serve: tenant carve space exhausted");
     bindTenantMetrics(*tenant);
     tenants.push_back(std::move(tenant));
     return tenants.back()->id;

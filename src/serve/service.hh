@@ -58,6 +58,9 @@ namespace tss::serve
 {
 
 using TenantId = std::uint32_t;
+
+/** openTenant()'s answer when the carve space is exhausted. */
+constexpr TenantId invalidTenant = ~TenantId(0);
 using JobId = std::uint64_t;
 
 /** Service-level knobs; the machine config is simulated per job. */
@@ -180,7 +183,8 @@ class TraceService
     /**
      * Open a tenant, assigning the next disjoint address-space carve.
      * Thread-safe; tenants are never closed (their stats live as long
-     * as the service).
+     * as the service). Returns invalidTenant, and opens nothing, when
+     * the next carve would run past the 64-bit address space.
      */
     TenantId openTenant(std::string name);
 

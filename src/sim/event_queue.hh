@@ -5,7 +5,7 @@
  * the classic configuration); events scheduled for the same cycle
  * execute in (priority, station, per-station sequence) order so that
  * simulations are fully deterministic — the same tie-break key the
- * parallel engine (sim/sim_engine.hh) uses to merge cross-domain
+ * windowed engine (sim/sim_engine.hh) uses to merge cross-domain
  * operations at window barriers.
  */
 
@@ -16,7 +16,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "event.hh"
@@ -178,31 +177,11 @@ class EventQueue
         return n;
     }
 
-    /**
-     * runUntil that additionally appends the firing time of every
-     * event executed strictly after @p ahead_after to @p log, in
-     * execution order. The parallel engine uses it to let a wide
-     * domain run ahead of the global window grid while keeping a
-     * virtual record of when those events would have been pending
-     * (SimEngine::virtualNext).
-     */
-    std::uint64_t
-    runUntil(Cycle limit, Cycle ahead_after, std::deque<Cycle> *log)
-    {
-        std::uint64_t n = 0;
-        for (Cycle t; !empty() && (t = nextTime()) <= limit; ++n) {
-            if (t > ahead_after)
-                log->push_back(t);
-            fire(t);
-        }
-        return n;
-    }
-
     /** Callback slots currently parked in the slab (for tests). */
     std::size_t slabCapacity() const { return slab.size(); }
 
     /**
-     * Wire the deferred-operation sink of the parallel engine. While
+     * Wire the deferred-operation sink of the windowed engine. While
      * set, every executed event runs under a thread-local ExecContext
      * (see exec_context.hh) and cross-domain operations defer.
      */
@@ -219,17 +198,14 @@ class EventQueue
 
     /**
      * Conservative floor on deferred operations that schedule onto
-     * this queue: the end of the global-grid window just drained, set
+     * this queue: the end of the window just drained, set
      * by the engine around the barrier's apply phase (0 outside it,
      * making the bound a no-op — bare queues and the software-runtime
      * model are unaffected). Deliveries that compute below it — only
      * same-station self-messages can, see sim/sim_engine.hh — are
      * lifted to the floor by the apply closures (network delivery,
      * DMA completion, TRS watermark flush) as
-     * `max(computed_time, windowFloor())`. The floor is the same for
-     * every shard — the delay-matrix mode lets wide domains run ahead
-     * of the grid but never moves the grid itself — which is what
-     * keeps the clamp bit-identical across lookahead modes.
+     * `max(computed_time, windowFloor())`, the same for every shard.
      *
      * Per queue rather than process-global: independent Systems
      * simulating concurrently (tss-serve runs one per execute worker)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Execution context of the parallel simulation engine. While a shard
+ * Execution context of the windowed simulation engine. While a shard
  * of the sharded event queue drains a lookahead window, every event
  * runs with a thread-local ExecContext describing *which* event is
  * executing — (station, per-station sequence, cycle) — and carrying a
@@ -8,12 +8,11 @@
  * domain (network sends, DMA transfers, registry retirement, global
  * gauges) are not applied in place: they are recorded into the sink
  * under a totally ordered SortKey and applied by the engine at the
- * window barrier, on one thread, in sorted order.
+ * window barrier in sorted order.
  *
  * Because the sort key is a pure function of simulated state — never
- * of host thread interleaving — the apply order is identical whether
- * the window drained on one thread or eight. That is the mechanism
- * behind the engine's bit-identical determinism guarantee.
+ * of the order in which shards drained — the apply order, and with it
+ * every simulated statistic, is deterministic.
  *
  * When no engine is driving (a bare EventQueue in a unit test, the
  * software-runtime model), the context's sink is null and every
@@ -70,10 +69,10 @@ struct DeferKey
 };
 
 /**
- * Per-shard log of deferred operations. Only the shard's draining
- * thread appends; the engine's barrier (on the main thread) drains
- * every shard's log into one reused buffer (drainInto), sorts the
- * union and applies it. The log keeps its capacity across windows.
+ * Per-shard log of deferred operations. The shard's events append;
+ * the engine's barrier drains every shard's log into one reused
+ * buffer (drainInto), sorts the union and applies it. The log keeps
+ * its capacity across windows.
  */
 class DeferSink
 {

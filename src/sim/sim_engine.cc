@@ -4,19 +4,12 @@
 
 #include "logging.hh"
 #include "obs/trace.hh"
-#include "runtime/work_deque.hh"
 
 namespace tss
 {
 
 namespace
 {
-
-/// Iterations of bounded spinning before a waiter parks. Short on
-/// purpose: on an oversubscribed or 1-core host the yield gives the
-/// partner thread its timeslice, and parking promptly afterwards
-/// stops the window barrier from burning cycles the drain could use.
-constexpr unsigned kSpinIters = 64;
 
 bool
 keyLess(const std::pair<DeferKey, EventCallback> &a,
@@ -27,7 +20,7 @@ keyLess(const std::pair<DeferKey, EventCallback> &a,
 
 } // namespace
 
-SimEngine::SimEngine(unsigned num_domains, unsigned sim_threads)
+SimEngine::SimEngine(unsigned num_domains)
 {
     TSS_ASSERT(num_domains >= 1, "engine needs at least one domain");
     shards.reserve(num_domains);
@@ -36,25 +29,6 @@ SimEngine::SimEngine(unsigned num_domains, unsigned sim_threads)
         s->queue.setDeferSink(&s->sink);
         shards.push_back(std::move(s));
     }
-    domL.assign(num_domains, 1);
-    shardLimit.assign(num_domains, 0);
-    threads = std::max(1u, std::min(sim_threads, num_domains));
-    if (threads > 1)
-        work = std::make_unique<WorkDeque>(num_domains);
-}
-
-SimEngine::~SimEngine()
-{
-    if (spawned) {
-        quit.store(true, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lk(poolMtx);
-            epoch.fetch_add(1, std::memory_order_release);
-        }
-        poolCv.notify_all();
-        for (auto &w : workers)
-            w.join();
-    }
 }
 
 void
@@ -62,22 +36,6 @@ SimEngine::setLookahead(Cycle l)
 {
     TSS_ASSERT(l >= 1, "lookahead must be at least one cycle");
     _lookahead = l;
-    domL.assign(shards.size(), l);
-}
-
-void
-SimEngine::setDomainLookahead(std::vector<Cycle> per_domain)
-{
-    TSS_ASSERT(per_domain.size() == shards.size(),
-               "need one lookahead per domain (%zu given, %zu domains)",
-               per_domain.size(), shards.size());
-    Cycle min_l = invalidCycle;
-    for (Cycle l : per_domain) {
-        TSS_ASSERT(l >= 1, "lookahead must be at least one cycle");
-        min_l = std::min(min_l, l);
-    }
-    domL = std::move(per_domain);
-    _lookahead = min_l;
 }
 
 Cycle
@@ -93,10 +51,10 @@ bool
 SimEngine::empty() const
 {
     for (const auto &s : shards) {
-        if (!s->queue.empty() || !s->ahead.empty())
+        if (!s->queue.empty())
             return false;
     }
-    return pending.empty();
+    return true;
 }
 
 std::uint64_t
@@ -106,59 +64,6 @@ SimEngine::executed() const
     for (const auto &s : shards)
         n += s->queue.executed();
     return n;
-}
-
-void
-SimEngine::spawnWorkers()
-{
-    if (spawned)
-        return;
-    spawned = true;
-    workers.reserve(threads - 1);
-    for (unsigned w = 0; w + 1 < threads; ++w)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-void
-SimEngine::workerLoop()
-{
-    std::uint64_t seen = 0;
-    while (true) {
-        std::uint64_t e;
-        unsigned spins = 0;
-        while ((e = epoch.load(std::memory_order_acquire)) == seen) {
-            if (++spins < kSpinIters) {
-                std::this_thread::yield();
-                continue;
-            }
-            // Park. The publisher bumps `epoch` under poolMtx before
-            // notifying, and the predicate re-checks under the same
-            // lock, so the wakeup cannot be lost.
-            std::unique_lock<std::mutex> lk(poolMtx);
-            poolCv.wait(lk, [&] {
-                return epoch.load(std::memory_order_acquire) != seen;
-            });
-        }
-        seen = e;
-        if (quit.load(std::memory_order_relaxed))
-            return;
-        std::uint32_t d;
-        while (work->steal(d)) {
-            // Safe plain reads inside drainShard: main stores the
-            // limits *before* the push, and the steal's acquire
-            // synchronizes with the push's release — a successful
-            // steal of shard d always observes d's own window limit
-            // and the grid window end.
-            drainShard(d);
-            if (remaining.fetch_sub(1, std::memory_order_release) ==
-                1) {
-                // Last shard of the window: wake the main thread if
-                // it parked at the barrier.
-                std::lock_guard<std::mutex> lk(poolMtx);
-                doneCv.notify_one();
-            }
-        }
-    }
 }
 
 void
@@ -172,22 +77,16 @@ SimEngine::setTracer(obs::Tracer *t)
 }
 
 std::size_t
-SimEngine::applyBarrier()
+SimEngine::applyBarrier(Cycle window_end)
 {
-    // Append this window's logs behind the still-pending (sorted)
-    // ops. Each log is usually in key order already — one shard's
-    // events run in cycle order — so sorting is skipped when the new
-    // tail is sorted, and merging when it also follows the old ops.
-    const std::size_t mid = pending.size();
+    // Each log is usually in key order already — one shard's events
+    // run in cycle order — so the sort is skipped when the union is.
     for (auto &s : shards)
         s->sink.drainInto(pending);
-    auto tail = pending.begin() + static_cast<std::ptrdiff_t>(mid);
-    if (!std::is_sorted(tail, pending.end(), keyLess))
-        std::sort(tail, pending.end(), keyLess);
-    if (mid > 0 && tail != pending.end() && keyLess(*tail, tail[-1]))
-        std::inplace_merge(pending.begin(), tail, pending.end(), keyLess);
     if (pending.empty())
         return 0;
+    if (!std::is_sorted(pending.begin(), pending.end(), keyLess))
+        std::sort(pending.begin(), pending.end(), keyLess);
     for (std::size_t i = 1; i < pending.size(); ++i) {
         TSS_ASSERT(!(pending[i - 1].first == pending[i].first),
                    "duplicate deferred-operation key (station %d seq "
@@ -196,36 +95,24 @@ SimEngine::applyBarrier()
                    (unsigned long long)pending[i].first.seq,
                    (unsigned long long)pending[i].first.when);
     }
+    TSS_ASSERT(pending.back().first.when <= window_end,
+               "deferred operation recorded at cycle %llu, after the "
+               "window end %llu",
+               (unsigned long long)pending.back().first.when,
+               (unsigned long long)window_end);
 
-    // The global horizon: the minimum *virtual* next event time over
-    // all shards — exactly what the uniform-lookahead engine would
-    // compute, since run-ahead events stay virtually pending until
-    // the grid reaches them. Only deferred operations recorded
-    // strictly below it may apply — later ones stay pending, so each
-    // op applies at the first barrier whose horizon exceeds its key,
-    // a grid property independent of which window's drain recorded
-    // it. At uniform lookahead every recorded op lies below the
-    // horizon and the prefix is the whole log, the historical
-    // apply-all barrier.
-    Cycle horizon = invalidCycle;
-    for (const auto &s : shards)
-        horizon = std::min(horizon, virtualNext(*s));
-
-    // Deliveries computed below the grid window end (only
-    // same-station self-messages can be) are floored at it; the floor
-    // is the same for every shard — run-ahead never moves the grid —
-    // so the clamp is bit-identical across lookahead modes. See
+    // Deliveries computed below the window end (only same-station
+    // self-messages can be) are floored at it. See
     // EventQueue::setWindowFloor.
-    for (unsigned d = 0; d < shards.size(); ++d)
-        shards[d]->queue.setWindowFloor(windowEnd + 1);
-    auto it = pending.begin();
-    for (; it != pending.end() && it->first.when < horizon; ++it)
-        it->second();
-    for (unsigned d = 0; d < shards.size(); ++d)
-        shards[d]->queue.setWindowFloor(0);
+    for (auto &s : shards)
+        s->queue.setWindowFloor(window_end + 1);
+    for (auto &op : pending)
+        op.second();
+    for (auto &s : shards)
+        s->queue.setWindowFloor(0);
 
-    auto applied = static_cast<std::size_t>(it - pending.begin());
-    pending.erase(pending.begin(), it);
+    std::size_t applied = pending.size();
+    pending.clear();
     return applied;
 }
 
@@ -233,118 +120,44 @@ std::uint64_t
 SimEngine::run(std::uint64_t max_events)
 {
     const std::uint64_t start = executed();
-    const auto nd = static_cast<unsigned>(shards.size());
     while (true) {
         Cycle t0 = invalidCycle;
         for (const auto &s : shards)
-            t0 = std::min(t0, virtualNext(*s));
-        if (t0 == invalidCycle) {
-            TSS_ASSERT(pending.empty(),
-                       "deferred operations pending with every shard "
-                       "drained");
+            t0 = std::min(t0, s->queue.nextTime());
+        if (t0 == invalidCycle)
             break;
-        }
 
-        // The grid window. Run-ahead events whose global-mode window
-        // this is retire from the virtual clock now — the grid has
-        // caught up with them.
-        windowEnd = t0 + _lookahead - 1;
-        for (auto &s : shards) {
-            while (!s->ahead.empty() && s->ahead.front() <= windowEnd)
-                s->ahead.pop_front();
-        }
-
-        // Window membership is decided on the grid window, not the
-        // per-domain drain limit: a wide domain drains *deeper* once
-        // it has an event in the grid window, but a wider limit never
-        // pulls it into a window it would sit out at uniform
-        // lookahead. Run-ahead can therefore only remove a shard from
-        // future windows (it already executed their events), pushing
-        // windows toward the single-shard inline path.
+        // Drain every shard with events inside the window. No drain
+        // touches another shard: cross-domain effects wait in the
+        // sinks for the barrier.
+        const Cycle window_end = t0 + _lookahead - 1;
         unsigned active = 0;
-        unsigned only = 0;
-        for (unsigned d = 0; d < nd; ++d) {
-            shardLimit[d] = t0 + domL[d] - 1;
-            if (shards[d]->queue.nextTime() <= windowEnd) {
+        for (auto &s : shards) {
+            if (s->queue.nextTime() <= window_end) {
                 ++active;
-                only = d;
+                s->queue.runUntil(window_end);
             }
         }
         ++wstats.windows;
         wstats.occupancySum += active;
         wstats.maxOccupancy =
             std::max<std::uint64_t>(wstats.maxOccupancy, active);
-
-        if (active == 0) {
-            // Every event of this grid window already ran ahead: the
-            // window only advances the grid and matures deferred
-            // operations at the barrier below.
-        } else if (active == 1) {
-            // Window fusion: one active shard needs no worker pool —
-            // drain it inline, skipping the epoch publish, the deque
-            // dispatch and the barrier spin entirely. Consecutive
-            // single-shard windows (the long single-domain stretches
-            // of real traces) fuse into back-to-back inline drains.
+        if (active == 1) {
             ++wstats.singleShard;
             if (lastWindowSingle)
                 ++wstats.fusedWindows;
-            lastWindowSingle = true;
-            drainShard(only);
         } else {
             ++wstats.multiShard;
-            lastWindowSingle = false;
-            if (threads == 1) {
-                // Inline windowed drain: same algorithm, no pool.
-                for (unsigned d = 0; d < nd; ++d) {
-                    if (shards[d]->queue.nextTime() <= windowEnd)
-                        drainShard(d);
-                }
-            } else {
-                spawnWorkers();
-                remaining.store(active, std::memory_order_relaxed);
-                // The pushes' release stores publish shardLimit,
-                // windowEnd and `remaining` to every successful
-                // stealer.
-                for (unsigned d = 0; d < nd; ++d) {
-                    if (shards[d]->queue.nextTime() <= windowEnd)
-                        work->push(d);
-                }
-                {
-                    std::lock_guard<std::mutex> lk(poolMtx);
-                    epoch.fetch_add(1, std::memory_order_release);
-                }
-                poolCv.notify_all();
-                std::uint32_t d;
-                while (work->pop(d)) {
-                    drainShard(d);
-                    remaining.fetch_sub(1, std::memory_order_release);
-                }
-                unsigned spins = 0;
-                while (remaining.load(std::memory_order_acquire) >
-                       0) {
-                    if (++spins < kSpinIters) {
-                        std::this_thread::yield();
-                        continue;
-                    }
-                    // Park until the window's last worker (which
-                    // takes poolMtx before notifying) wakes us.
-                    std::unique_lock<std::mutex> lk(poolMtx);
-                    doneCv.wait(lk, [&] {
-                        return remaining.load(
-                                   std::memory_order_acquire) == 0;
-                    });
-                    break;
-                }
-            }
         }
+        lastWindowSingle = active == 1;
 
         // Deferred NoC sends/deliveries emit trace records too: route
         // them to the tracer's barrier buffer for the apply phase,
         // stamp the window, then drain this window's records in
-        // DeferKey order (deterministic for any thread count).
+        // DeferKey order.
         if (tracer)
             tracer->beginBarrier();
-        std::size_t applied = applyBarrier();
+        std::size_t applied = applyBarrier(window_end);
         if (tracer) {
             if (applied > 0)
                 tracer->recordWindowBarrier(t0 + _lookahead, applied);

@@ -1,86 +1,48 @@
 /**
  * @file
- * Conservative parallel discrete-event engine. SimObject stations are
- * partitioned into NoC domains (one per frontend pipeline: the slice
- * plus its attached gateway/TRS stations, sources and processor-ring
- * cores assigned round-robin, plus a dedicated domain for the shared
- * backend — network, DMA, scheduler); each domain owns a slab-recycled
- * EventQueue shard. Domains synchronize in lookahead windows: all
- * shards with events inside their window drain concurrently on a
- * Chase–Lev worker pool, and every operation that crosses domain
- * state — NoC sends, DMA transfers, registry retirement, global
- * gauges — is recorded in the draining shard's DeferSink instead of
- * applied in place. At the window barrier the main thread sorts the
- * union of all logs by the (cycle, station, per-station sequence, op)
- * key and applies it sequentially.
+ * Windowed discrete-event engine. SimObject stations are partitioned
+ * into NoC domains (one per frontend pipeline: the slice plus its
+ * attached gateway/TRS stations, sources and processor-ring cores
+ * assigned round-robin, plus a dedicated domain for the shared
+ * backend — network, DMA, scheduler); each domain owns a
+ * slab-recycled EventQueue shard.
  *
- * The window grid is global: every window spans [t0, t0 + L - 1] with
- * L = Network::minDeliveryDelay() and t0 the minimum *virtual* next
- * event time over all shards. The delay-matrix mode
- * (setDomainLookahead, built by TopologyNetwork::domainLookahead)
- * does not move that grid. Instead it lets domain d *run ahead*:
- * whenever d has an event inside the grid window it drains to
- * t0 + L(d) - 1, where L(d) = min over every *incoming*
- * communication edge's pair delay. Events executed
- * beyond the grid window log their firing times (EventQueue::runUntil
- * overload); a shard's virtual next time is the earliest logged time
- * not yet reached by the grid, so t0 — and with it every barrier,
- * horizon and window floor — advances exactly as it would at uniform
- * lookahead. A run-ahead domain simply sits idle (and off the worker
- * pool) in the windows whose events it already executed, which is
- * where the speedup comes from: more single-shard windows fuse into
- * inline drains.
+ * One sequential loop drives the shards in lookahead windows. Each
+ * pass takes t0 as the minimum next event time over all shards and
+ * drains every shard with events in [t0, t0 + L - 1], where
+ * L = Network::minDeliveryDelay(). Every operation that crosses
+ * domain state — NoC sends, DMA transfers, registry retirement,
+ * global gauges — is recorded in the draining shard's DeferSink
+ * instead of applied in place. At the window barrier the engine
+ * sorts the union of all logs by the (cycle, station, per-station
+ * sequence, op) key and applies it in that order.
  *
- * Determinism: the merge key is a pure function of simulated state,
- * so the apply order — and therefore every simulated statistic — is
- * bit-identical for any worker count, including 1. `simThreads == 1`
- * runs the identical windowed algorithm inline; there is no separate
- * sequential engine to diverge from. The barrier applies only the
- * sorted prefix of deferred operations whose key lies below the
- * post-drain global horizon (the minimum virtual next event time over
- * all shards); later ones stay pending. An operation with key w
- * therefore applies at the first barrier whose horizon exceeds w — a
- * grid property, independent of which (possibly earlier) window's
- * drain recorded it — so the apply schedule, the floors in force at
- * each apply, and hence the entire simulation are bit-identical
- * between uniform and delay-matrix lookahead by construction. At
- * uniform lookahead every recorded op lies below the horizon and the
- * prefix is the whole log, the historical apply-all barrier.
+ * The barrier is what defines the simulated semantics: a
+ * cross-domain effect lands at the window end, in DeferKey order,
+ * whatever order the shards drained in. Every golden statistic,
+ * gated BENCH cell and exported trace byte is a function of that
+ * rule, so the windows stay even though one thread drains them all.
  *
- * Conservative safety of running ahead: every operation applied at a
- * barrier with window start t0 has key w >= t0 (deferred ops carry
- * key >= the previous horizon >= t0; fresh ops were recorded at
- * execution times >= t0), so a delivery into domain d computes to
- * >= w + pairDelay >= t0 + L(d) — strictly after everything d
- * executed, run-ahead included. Same-station self-messages are the
- * one exception (their delay can undercut L(d)), so domains holding
- * self-sending stations are pinned to L(d) = L by
- * TopologyNetwork::domainLookahead and never run ahead; their
- * self-deliveries are floored at the grid window end
- * (EventQueue::windowFloor) exactly as at uniform lookahead.
+ * Conservative safety: every op applied at a barrier was recorded in
+ * the window just drained, so a delivery it computes lands at
+ * >= t0 + L — after everything any shard has executed. Same-station
+ * self-messages are the one exception (their delay can undercut L);
+ * they are floored at the window end (EventQueue::windowFloor).
  * EventQueue::scheduleStation's past-scheduling assertion backstops
- * the whole argument — a mis-declared communication edge fails loudly
- * instead of drifting.
+ * the argument.
  *
- * Window fusion: when only one shard has events below its limit (the
- * long single-domain stretches every real trace has), the window runs
- * inline on the calling thread — no epoch publish, no deque dispatch,
- * no barrier spin. Idle workers park on a condition variable after a
- * bounded spin, so oversubscribed and 1-core hosts never burn a
- * timeslice per window.
+ * Window fusion: the counters record windows with one active shard
+ * (the long single-domain stretches every real trace has) and runs
+ * of consecutive ones; every counter is a pure function of simulated
+ * state and gates exactly in BENCH_sim.json.
  */
 
 #ifndef TSS_SIM_SIM_ENGINE_HH
 #define TSS_SIM_SIM_ENGINE_HH
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "event_queue.hh"
@@ -100,9 +62,8 @@ class SimEngine
   public:
     /**
      * Deterministic window-structure counters: every field is a pure
-     * function of simulated state (which shards had events below
-     * their limits), never of the host thread count — gated exactly
-     * in BENCH_sim.json.
+     * function of simulated state (which shards had events inside
+     * each window) — gated exactly in BENCH_sim.json.
      */
     struct WindowStats
     {
@@ -114,45 +75,23 @@ class SimEngine
         std::uint64_t maxOccupancy = 0; ///< peak active shards
     };
 
-    /**
-     * @param num_domains Number of event-queue shards.
-     * @param sim_threads Host threads draining windows (clamped to
-     *        the domain count; 1 = inline, no worker threads).
-     */
-    explicit SimEngine(unsigned num_domains, unsigned sim_threads = 1);
-    ~SimEngine();
+    /** @param num_domains Number of event-queue shards. */
+    explicit SimEngine(unsigned num_domains);
 
     SimEngine(const SimEngine &) = delete;
     SimEngine &operator=(const SimEngine &) = delete;
 
     /**
-     * Set the uniform lookahead window length (cycles) for every
-     * domain. Must be >= 1; derive it from
-     * TopologyNetwork::minDeliveryDelay() so that real routes are
+     * Set the lookahead window length (cycles). Must be >= 1; derive
+     * it from Network::minDeliveryDelay() so that real routes are
      * never floored.
      */
     void setLookahead(Cycle l);
-
-    /**
-     * Set per-domain window lengths (the delay-matrix mode). One
-     * entry per domain, each >= 1 and safe per the file comment:
-     * build the vector with TopologyNetwork::domainLookahead().
-     */
-    void setDomainLookahead(std::vector<Cycle> per_domain);
-
-    /** The minimum window length over all domains. */
-    Cycle lookahead() const { return _lookahead; }
-
-    /** Domain @p d's window length. */
-    Cycle domainLookahead(unsigned d) const { return domL[d]; }
 
     unsigned numDomains() const
     {
         return static_cast<unsigned>(shards.size());
     }
-
-    /** Worker threads that will actually drain (after clamping). */
-    unsigned effectiveThreads() const { return threads; }
 
     EventQueue &shard(unsigned domain) { return shards[domain]->queue; }
 
@@ -160,7 +99,7 @@ class SimEngine
      * Wire a flight recorder (or unwire with nullptr). The tracer
      * must have one buffer per domain; the engine routes barrier-side
      * emissions and drains the window's records after every barrier,
-     * in DeferKey order — byte-identical for any thread count.
+     * in DeferKey order.
      */
     void setTracer(obs::Tracer *t);
 
@@ -189,82 +128,18 @@ class SimEngine
     {
         EventQueue queue;
         DeferSink sink;
-        /// Firing times of events this shard executed ahead of the
-        /// global window grid (delay-matrix mode only), in execution
-        /// order. The front is the shard's virtual next event time;
-        /// entries retire as the grid reaches them. Touched only by
-        /// the thread draining the shard and by the main thread
-        /// between windows.
-        std::deque<Cycle> ahead;
     };
 
-    /// The shard's next event time as the uniform-lookahead engine
-    /// would see it: run-ahead events count as pending until the grid
-    /// reaches them.
-    Cycle
-    virtualNext(const Shard &s) const
-    {
-        Cycle n = s.queue.nextTime();
-        return s.ahead.empty() ? n : std::min(n, s.ahead.front());
-    }
-
-    /// Drain shard @p d to its published window limit, logging any
-    /// execution beyond the grid window end as run-ahead.
-    void
-    drainShard(unsigned d)
-    {
-        Shard &s = *shards[d];
-        if (shardLimit[d] == windowEnd)
-            s.queue.runUntil(windowEnd);
-        else
-            s.queue.runUntil(shardLimit[d], windowEnd, &s.ahead);
-    }
-
-    std::size_t applyBarrier();
-    void spawnWorkers();
-    void workerLoop();
+    std::size_t applyBarrier(Cycle window_end);
 
     std::vector<std::unique_ptr<Shard>> shards;
     Cycle _lookahead = 1;
-    std::vector<Cycle> domL;  ///< per-domain window length
-    unsigned threads = 1;
     obs::Tracer *tracer = nullptr;
     WindowStats wstats;
     bool lastWindowSingle = false;
 
-    /// @name Worker-pool window protocol.
-    /// Main publishes a window by storing the per-shard drain limits,
-    /// pushing the active shard ids and bumping `epoch`; everyone
-    /// (main included) steals shard ids from the one shared deque,
-    /// and each completed shard decrements `remaining` with release
-    /// order so the barrier's acquire load sees all shard state.
-    /// Waiters — workers between windows, main at the barrier — spin
-    /// a bounded number of iterations and then park on `poolCv` /
-    /// `doneCv`; the epoch bump and the final decrement take `poolMtx`
-    /// before notifying so wakeups are never lost.
-    /// @{
-    std::unique_ptr<class WorkDeque> work;
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<unsigned> remaining{0};
-    std::atomic<bool> quit{false};
-    std::vector<std::thread> workers;
-    bool spawned = false;
-    std::mutex poolMtx;
-    std::condition_variable poolCv;
-    std::condition_variable doneCv;
-
-    /// Per-shard drain limits of the published window, and the grid
-    /// window end (t0 + lookahead - 1) shared by all shards. Plain
-    /// stores: written before the deque pushes whose release/acquire
-    /// pair publishes them to every successful stealer.
-    std::vector<Cycle> shardLimit;
-    Cycle windowEnd = 0;
-    /// @}
-
-    /// Deferred operations not yet below the global horizon, sorted
-    /// by key. Always empty at uniform lookahead (every op recorded
-    /// in a window lies below the post-drain horizon); carries ops
-    /// across barriers when per-domain windows run ahead.
+    /// The barrier's merge buffer; kept across windows so a warm
+    /// barrier never allocates.
     std::vector<std::pair<DeferKey, EventCallback>> pending;
 };
 

@@ -40,7 +40,7 @@ class SimObject
     /**
      * The object's station id — its NoC node — used as the event
      * tie-break key component and as the deferred-operation sort key
-     * under the parallel engine. EventQueue::noStation until wired.
+     * of the windowed engine. EventQueue::noStation until wired.
      */
     std::int32_t station() const { return _station; }
     void setStation(std::int32_t s) { _station = s; }

@@ -20,9 +20,8 @@ namespace tss
 
 /**
  * A simple monotonically updated scalar statistic. Updates are
- * relaxed atomics: increments commute, so the final value is
- * independent of which simulation-engine thread bumped the counter
- * first — a requirement for the parallel engine's determinism.
+ * relaxed atomics: increments commute, so the final value does not
+ * depend on which host thread bumped the counter first.
  */
 class Counter
 {
@@ -74,13 +73,12 @@ class SpinLock
  * are available. Sample counts in this simulator are bounded by the
  * number of tasks/messages, which keeps full retention cheap.
  *
- * sample() is thread-safe (the parallel engine's domains may sample
- * one distribution concurrently) and every query is computed over the
+ * sample() is thread-safe and every query is computed over the
  * *sorted* samples — including sum(), so floating-point accumulation
  * order is independent of the insertion order and the reported
- * statistics are bit-identical however the engine's threads
- * interleaved. Queries themselves are not safe against a concurrent
- * sample(); they run after the simulation (or at a window barrier).
+ * statistics are bit-identical however samples arrived. Queries
+ * themselves are not safe against a concurrent sample(); they run
+ * after the simulation (or at a window barrier).
  */
 class Distribution
 {

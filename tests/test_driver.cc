@@ -75,6 +75,43 @@ TEST(CliArgs, ScalePresetPrecedence)
                          .scale(0.1, 1.0, 0.4), 0.4);
 }
 
+TEST(CliArgs, BoundedParserRejectsInvalidValues)
+{
+    EXPECT_EQ(parseBounded("0", 0, 10), 0u);
+    EXPECT_EQ(parseBounded("10", 1, 10), 10u);
+    EXPECT_EQ(parseBounded("18446744073709551615", 0, UINT64_MAX),
+              UINT64_MAX);
+    // Signs, non-digits, blanks and empty text.
+    for (const char *bad : {"-1", "+1", "", "1x", "x", " 1", "1.5"})
+        EXPECT_FALSE(parseBounded(bad, 0, UINT64_MAX)) << bad;
+    // Out of range, and past 64 bits.
+    EXPECT_FALSE(parseBounded("0", 1, 10));
+    EXPECT_FALSE(parseBounded("11", 1, 10));
+    EXPECT_FALSE(parseBounded("18446744073709551616", 0, UINT64_MAX));
+    EXPECT_FALSE(parseBounded("99999999999999999999999", 0, UINT64_MAX));
+    // A size in MiB whose byte count would overflow 64 bits.
+    EXPECT_TRUE(parseBounded("17592186044415", 1, UINT64_MAX >> 20));
+    EXPECT_FALSE(parseBounded("17592186044416", 1, UINT64_MAX >> 20));
+}
+
+TEST(CliArgs, BoundedFlagAbsentOrValid)
+{
+    const char *argv[] = {"prog", "--workers=4"};
+    CliArgs args(2, const_cast<char **>(argv));
+    EXPECT_EQ(args.getBounded("workers", 1, 256), 4u);
+    EXPECT_FALSE(args.getBounded("missing", 1, 256));
+}
+
+TEST(CliArgsDeathTest, BoundedFlagOutOfRangeExits)
+{
+    const char *argv[] = {"prog", "--execute-workers=-1", "--queue=0"};
+    CliArgs args(3, const_cast<char **>(argv));
+    EXPECT_EXIT((void)args.getBounded("execute-workers", 1, 256),
+                ::testing::ExitedWithCode(1), "execute-workers");
+    EXPECT_EXIT((void)args.getBounded("queue", 1, UINT32_MAX),
+                ::testing::ExitedWithCode(1), "queue");
+}
+
 TEST(Experiment, PaperConfigMatchesSectionSix)
 {
     PipelineConfig cfg = paperConfig(256);

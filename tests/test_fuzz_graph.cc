@@ -238,11 +238,6 @@ TEST(FuzzGraph, ShardedPipelinesStayExactUnderSharing)
             cfg.numTrs = 2;
             cfg.numOrt = pipes == 1 ? 2 : 1;
             cfg.numPipelines = pipes;
-            // Fuzz point for the parallel engine: drain with as many
-            // host threads as domains ({1, 2, 4}); results must stay
-            // exact regardless (see test_sim_engine.cc for the
-            // explicit bit-identity check against simThreads = 1).
-            cfg.simThreads = pipes;
             if (pipes == 4) {
                 // One mesh + spread + batching + flow-control point
                 // in the fuzz matrix: the full NoC subsystem under
@@ -322,7 +317,6 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
             cfg.nocPlacementSeed = seed;
             cfg.batchOperands = noc.batch;
             cfg.slicePacketCredits = noc.credits;
-            cfg.simThreads = 2; // parallel drain under the NoC matrix
 
             std::string what = std::string(toString(noc.topology)) +
                 "/" + toString(noc.placement) + "/seed " +
@@ -362,13 +356,12 @@ TEST(FuzzGraph, TopologyPlacementEquivalence)
  * The version-slot reserve/escape protocol under fuzz: random
  * shared-object programs decoded with the OVT squeezed down to the
  * pinned minimum-safe bound (tests/ovt_bound.hh), one slot above it,
- * and twice it — across the NoC fabric matrix, the writeback policies
- * and every parallel-engine width. Fuzz tasks carry at most 6 memory
- * operands, below the bound of 10, so every configuration must
- * complete (asserted through the liveness watchdog, not a hang into
- * the ctest TIMEOUT), the decision must be bit-identical across
- * --sim-threads {1, 2, 4}, and functional replay of each decision
- * must match sequential execution bit for bit.
+ * and twice it — across the NoC fabric matrix and the writeback
+ * policies. Fuzz tasks carry at most 6 memory operands, below the
+ * bound of 10, so every configuration must complete (asserted through
+ * the liveness watchdog, not a hang into the ctest TIMEOUT), and
+ * functional replay of each decision must match sequential execution
+ * bit for bit.
  *
  * Timing comparisons run on the *relocated* trace (synthetic
  * addresses): a captured trace's heap addresses differ per program
@@ -410,70 +403,46 @@ TEST(FuzzGraph, TinyOvtReserveEscapeStaysExact)
         };
 
         for (const SqueezeConfig &squeeze : configs) {
-            RunResult baseline;
-            for (unsigned threads : {1u, 2u, 4u}) {
-                PipelineConfig cfg;
-                cfg.numCores = 8;
-                cfg.numTrs = 2;
-                cfg.numOrt = 1;
-                cfg.numPipelines = 2;
-                cfg.ovtTotalBytes =
-                    Bytes(squeeze.slots) * 16 * cfg.totalOrt();
-                cfg.nocTopology = squeeze.topology;
-                cfg.nocPlacement = squeeze.placement;
-                cfg.batchOperands = squeeze.batch;
-                cfg.eagerWriteback = squeeze.eagerWriteback;
-                cfg.simThreads = threads;
+            PipelineConfig cfg;
+            cfg.numCores = 8;
+            cfg.numTrs = 2;
+            cfg.numOrt = 1;
+            cfg.numPipelines = 2;
+            cfg.ovtTotalBytes = Bytes(squeeze.slots) * 16 * cfg.totalOrt();
+            cfg.nocTopology = squeeze.topology;
+            cfg.nocPlacement = squeeze.placement;
+            cfg.batchOperands = squeeze.batch;
+            cfg.eagerWriteback = squeeze.eagerWriteback;
 
-                std::string what = "seed " + std::to_string(seed) +
-                    ", " + std::to_string(squeeze.slots) +
-                    " slots/slice, " + toString(squeeze.topology) +
-                    "/" + toString(squeeze.placement) + ", " +
-                    std::to_string(threads) + " sim threads";
+            std::string what = "seed " + std::to_string(seed) + ", " +
+                std::to_string(squeeze.slots) + " slots/slice, " +
+                toString(squeeze.topology) + "/" +
+                toString(squeeze.placement);
 
-                // Liveness first: the watchdog must report clean
-                // completion, not a wedge or an event-limit stop.
-                auto watched = SystemBuilder(cfg, trace)
-                                   .threads(makeThreads())
-                                   .build();
-                LivenessReport rep =
-                    watched->runWatchdog(1'000'000'000ULL);
-                ASSERT_TRUE(rep.completed)
-                    << what << ": finished " << rep.tasksFinished
-                    << "/" << trace.size()
-                    << (rep.wedged ? " (wedged)" : " (event limit)");
-                ASSERT_FALSE(rep.wedged) << what;
+            // Liveness first: the watchdog must report clean
+            // completion, not a wedge or an event-limit stop.
+            auto sys =
+                SystemBuilder(cfg, trace).threads(makeThreads()).build();
+            LivenessReport rep = sys->runWatchdog(1'000'000'000ULL);
+            ASSERT_TRUE(rep.completed)
+                << what << ": finished " << rep.tasksFinished << "/"
+                << trace.size()
+                << (rep.wedged ? " (wedged)" : " (event limit)");
+            ASSERT_FALSE(rep.wedged) << what;
 
-                // Then the decision itself, engine-width invariant.
-                auto sys = SystemBuilder(cfg, trace)
-                               .threads(makeThreads())
-                               .build();
-                RunResult decision = sys->run(4'000'000'000ULL);
-                ASSERT_EQ(decision.startOrder.size(), trace.size())
-                    << what;
-                if (threads == 1) {
-                    baseline = decision;
-                } else {
-                    EXPECT_EQ(decision.makespan, baseline.makespan)
-                        << what;
-                    EXPECT_EQ(decision.startOrder, baseline.startOrder)
-                        << what;
-                    EXPECT_EQ(decision.coreOf, baseline.coreOf)
-                        << what;
-                }
-
-                EXPECT_TRUE(
-                    renamed.isTopologicalOrder(decision.startOrder))
-                    << what << ": start order violates the renamed "
-                    << "dependency graph";
-            }
+            // Then the decision itself.
+            RunResult decision = sys->collectResult();
+            ASSERT_EQ(decision.startOrder.size(), trace.size()) << what;
+            EXPECT_TRUE(renamed.isTopologicalOrder(decision.startOrder))
+                << what << ": start order violates the renamed "
+                << "dependency graph";
 
             // Final memory: functional replay of the squeezed-OVT
             // decision on a fresh program instance must reproduce
             // sequential execution bit for bit.
             FuzzProgram replayed(seed);
             FunctionalExecutor fexec(replayed.context());
-            fexec.execute(baseline.startOrder);
+            fexec.execute(decision.startOrder);
             EXPECT_EQ(replayed.snapshot(), expected)
                 << "seed " << seed << ", " << squeeze.slots
                 << " slots/slice: functional replay diverged";

@@ -169,11 +169,11 @@ TEST(ObsMetrics, RegistrySnapshotIsNameSortedAndPolled)
 }
 
 /**
- * The tentpole guarantee: the exported trace is byte-identical for
- * any --sim-threads, across topologies and placements, including
- * multi-pipeline shared-data programs (ticket/slot park records).
+ * The Full exporter on multi-pipeline shared-data programs (ticket
+ * and slot park records) across topologies and placements: a
+ * well-formed document carrying task, NoC and engine window records.
  */
-TEST(ObsTrace, ByteIdenticalAcrossSimThreads)
+TEST(ObsTrace, FullTraceCoversEveryLayerAcrossFabrics)
 {
     struct Shape
     {
@@ -186,20 +186,18 @@ TEST(ObsTrace, ByteIdenticalAcrossSimThreads)
     };
     TaskTrace trace = sharedProgram(48);
     for (const Shape &shape : shapes) {
-        std::string baseline;
-        for (unsigned threads : {1u, 2u, 4u}) {
-            PipelineConfig cfg = tinyConfig(2);
-            cfg.nocTopology = shape.topology;
-            cfg.nocPlacement = shape.placement;
-            cfg.traceMode = obs::TraceMode::Full;
-            cfg.simThreads = threads;
-            TracedRun run = runTraced(trace, cfg, 2);
-            ASSERT_FALSE(run.traceJson.empty());
-            if (baseline.empty())
-                baseline = run.traceJson;
-            else
-                EXPECT_EQ(run.traceJson, baseline)
-                    << "trace diverged at simThreads=" << threads;
+        PipelineConfig cfg = tinyConfig(2);
+        cfg.nocTopology = shape.topology;
+        cfg.nocPlacement = shape.placement;
+        cfg.traceMode = obs::TraceMode::Full;
+        TracedRun run = runTraced(trace, cfg, 2);
+        const std::string &json = run.traceJson;
+        ASSERT_GT(json.size(), 4u) << toString(shape.topology);
+        EXPECT_EQ(json.substr(json.size() - 4), "\n]}\n");
+        for (const char *name : {"task.retire", "ort.park.ticket",
+                                 "noc.deliver", "engine.window"}) {
+            EXPECT_NE(json.find(name), std::string::npos)
+                << toString(shape.topology) << ": no " << name;
         }
     }
 }
@@ -214,7 +212,6 @@ TEST(ObsTrace, TracerOffBitIdenticalResults)
           obs::TraceMode::Full}) {
         PipelineConfig cfg = tinyConfig(2);
         cfg.traceMode = mode;
-        cfg.simThreads = 2;
         results.push_back(runTraced(trace, cfg, 2).result);
     }
     const RunResult &off = results[0];

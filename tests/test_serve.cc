@@ -9,10 +9,13 @@
  * contract.
  */
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -260,6 +263,60 @@ TEST(Serve, CarveOverflowRejected)
     ServiceReport report = service.report();
     EXPECT_EQ(tenantOf(report, tenant).rejectedCarve, 1u);
     EXPECT_EQ(tenantOf(report, tenant).completed, 0u);
+}
+
+TEST(Serve, TenantCarveExhaustionAnswersErrorNotFatal)
+{
+    std::ostringstream path;
+    path << "/tmp/tss-serve-carve-" << ::getpid() << ".sock";
+
+    // 2^62-byte carves: tenants 0-2 fit below 2^64, tenant 3 does not.
+    ServeConfig cfg = tinyServeConfig();
+    cfg.carveBytes = std::uint64_t(1) << 62;
+    TraceService service(cfg);
+    SocketServer server(service, path.str());
+    ASSERT_TRUE(server.start());
+
+    ServeClient first, second, third;
+    TenantId id = 0;
+    std::uint64_t base = 0, end = 0;
+    ASSERT_TRUE(first.connect(path.str()));
+    ASSERT_TRUE(first.hello("first", id, base, end));
+    EXPECT_EQ(id, 0u);
+    ASSERT_TRUE(second.connect(path.str()));
+    ASSERT_TRUE(second.hello("second", id, base, end));
+    ASSERT_TRUE(third.connect(path.str()));
+    ASSERT_TRUE(third.hello("third", id, base, end));
+    EXPECT_EQ(end, cfg.carveBase + 3 * cfg.carveBytes);
+
+    // The fourth Hello gets an Error frame on a live connection.
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.str().c_str(),
+                 sizeof(addr.sun_path) - 1);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_TRUE(writeFrame(fd, {MsgType::Hello, "fourth"}));
+    Frame reply;
+    ASSERT_TRUE(readFrame(fd, reply));
+    EXPECT_EQ(reply.type, MsgType::Error);
+    ::close(fd);
+    EXPECT_EQ(service.openTenant("in-process"), invalidTenant);
+
+    // Tenant 0 still submits and completes.
+    JobId job = 0;
+    while (first.submit(chainProgram(12, 0x5000'0000), job) !=
+           SubmitStatus::Accepted)
+        ;
+    service.waitIdle();
+    EXPECT_EQ(tenantOf(service.report(), 0).completed, 1u);
+
+    ASSERT_TRUE(first.shutdown());
+    server.waitShutdown();
+    server.stop();
 }
 
 TEST(Serve, WedgedJobSurvivesAndIsDiagnosed)

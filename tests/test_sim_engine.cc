@@ -1,17 +1,18 @@
 /**
  * @file
- * The conservative parallel engine (sim/sim_engine.hh): cross-domain
- * delivery timing at the lookahead boundary and one cycle to either
- * side, the conservative floor on below-window deliveries, and
- * bit-identical System results across simThreads — the tentpole
- * determinism contract, checked at unit scale here and over full
- * topology/placement/batching configs.
+ * The windowed engine (sim/sim_engine.hh): cross-domain delivery
+ * timing at the lookahead boundary and one cycle to either side, the
+ * conservative floor on below-window deliveries, golden System
+ * results and window counters over topology/placement/batching
+ * configs, independence of concurrently simulating Systems, and
+ * allocation-free warm barriers.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <thread>
 #include <utility>
@@ -20,7 +21,9 @@
 #include "core/system.hh"
 #include "driver/experiment.hh"
 #include "noc/network.hh"
+#include "sim/random.hh"
 #include "sim/sim_engine.hh"
+#include "workload/builder.hh"
 
 /// Every global operator new of this test binary, counted so a test
 /// can assert a code path performs no heap allocation. All plain and
@@ -109,10 +112,10 @@ class Recorder : public Endpoint
  * 0 bytes = L - 1 (below the window), 16 = exactly L, 17 = L + 1.
  */
 Cycle
-deliverOnce(unsigned sim_threads, Cycle inject, Bytes bytes)
+deliverOnce(Cycle inject, Bytes bytes)
 {
     constexpr Cycle latency = 4;
-    SimEngine engine(2, sim_threads);
+    SimEngine engine(2);
     SimpleNetwork net("net", engine.shard(0), latency);
     engine.setLookahead(net.minDeliveryDelay());
 
@@ -136,91 +139,225 @@ TEST(SimEngine, DeliveryAtLookaheadBoundaryIsExact)
     // 16 bytes serialize in 1 cycle: delivery = inject + latency + 1,
     // exactly the window end — legal (the window is half-open) and
     // must not be disturbed by the conservative floor.
-    for (unsigned threads : {1u, 2u})
-        EXPECT_EQ(deliverOnce(threads, 10, 16), 15u)
-            << threads << " threads";
+    EXPECT_EQ(deliverOnce(10, 16), 15u);
 }
 
 TEST(SimEngine, DeliveryOneCyclePastBoundaryIsExact)
 {
     // 17 bytes serialize in 2 cycles: one past the window end.
-    for (unsigned threads : {1u, 2u})
-        EXPECT_EQ(deliverOnce(threads, 10, 17), 16u)
-            << threads << " threads";
+    EXPECT_EQ(deliverOnce(10, 17), 16u);
 }
 
 TEST(SimEngine, BelowWindowDeliveryIsFlooredAtWindowEnd)
 {
     // A zero-byte message serializes in 0 cycles and would arrive one
     // cycle *inside* the window that already drained. The engine's
-    // conservative floor lifts it to the window end — the same cycle
-    // for every thread count, so determinism survives the clamp.
-    for (unsigned threads : {1u, 2u})
-        EXPECT_EQ(deliverOnce(threads, 10, 0), 15u)
-            << threads << " threads";
+    // conservative floor lifts it to the window end.
+    EXPECT_EQ(deliverOnce(10, 0), 15u);
 }
 
-TEST(SimEngine, CrossDomainPingPongMatchesSequential)
+TEST(SimEngine, CrossDomainPingPongMatchesOneQueue)
 {
-    // Two stations in different domains bounce a message back and
-    // forth; every bounce crosses the lookahead barrier. The complete
-    // arrival logs, final times and event counts must be identical
-    // with and without worker threads.
-    auto play = [](unsigned sim_threads) {
-        constexpr Cycle latency = 3;
-        SimEngine engine(2, sim_threads);
-        SimpleNetwork net("net", engine.shard(0), latency);
-        engine.setLookahead(net.minDeliveryDelay());
+    // Two stations bounce a message back and forth. On a two-domain
+    // engine every bounce crosses the window barrier; on one bare
+    // queue (no engine, sends route immediately) none does. Messages
+    // of at least one lookahead never hit the floor, so the complete
+    // arrival logs, final times and event counts must agree.
+    struct Bouncer : Endpoint
+    {
+        Network *net = nullptr;
+        NodeId self = 0;
+        int remaining = 8;
+        std::vector<std::pair<Cycle, NodeId>> log;
+        EventQueue *eq = nullptr;
 
-        struct Bouncer : Endpoint
+        void
+        receive(MessagePtr msg) override
         {
-            Network *net = nullptr;
-            NodeId self = 0;
-            int remaining = 0;
-            std::vector<std::pair<Cycle, NodeId>> log;
-            EventQueue *eq = nullptr;
-
-            void
-            receive(MessagePtr msg) override
-            {
-                log.emplace_back(eq->now(), msg->src);
-                if (remaining-- <= 0)
-                    return;
-                net->send(std::make_unique<Message>(self, msg->src,
-                                                    16));
-            }
-        };
-
+            log.emplace_back(eq->now(), msg->src);
+            if (remaining-- <= 0)
+                return;
+            net->send(std::make_unique<Message>(self, msg->src, 16));
+        }
+    };
+    constexpr Cycle latency = 3;
+    auto play = [](EventQueue &qa, EventQueue &qb, Network &net,
+                   const std::function<void()> &run) {
         Bouncer a, b;
-        a.net = &net;
+        a.net = b.net = &net;
         a.self = 0;
-        a.remaining = 8;
-        a.eq = &engine.shard(0);
-        b.net = &net;
         b.self = 1;
-        b.remaining = 8;
-        b.eq = &engine.shard(1);
+        a.eq = &qa;
+        b.eq = &qb;
         net.attach(0, a);
         net.attach(1, b);
-        net.bindQueue(0, engine.shard(0));
-        net.bindQueue(1, engine.shard(1));
-
-        engine.shard(0).scheduleStation(1, 0, [&net] {
+        net.bindQueue(0, qa);
+        net.bindQueue(1, qb);
+        qa.scheduleStation(1, 0, [&net] {
             net.send(std::make_unique<Message>(0, 1, 16));
         });
-        engine.run();
-
+        run();
         auto log = a.log;
         log.insert(log.end(), b.log.begin(), b.log.end());
-        return std::make_tuple(log, engine.now(), engine.executed());
+        return log;
     };
 
-    auto sequential = play(1);
-    auto parallel = play(2);
-    EXPECT_EQ(std::get<0>(parallel), std::get<0>(sequential));
-    EXPECT_EQ(std::get<1>(parallel), std::get<1>(sequential));
-    EXPECT_EQ(std::get<2>(parallel), std::get<2>(sequential));
-    EXPECT_GT(std::get<0>(sequential).size(), 16u);
+    SimEngine engine(2);
+    SimpleNetwork net("net", engine.shard(0), latency);
+    engine.setLookahead(net.minDeliveryDelay());
+    auto windowed = play(engine.shard(0), engine.shard(1), net,
+                         [&engine] { engine.run(); });
+
+    EventQueue queue;
+    SimpleNetwork plain_net("net", queue, latency);
+    auto plain =
+        play(queue, queue, plain_net, [&queue] { queue.run(); });
+
+    EXPECT_EQ(windowed, plain);
+    EXPECT_EQ(engine.now(), queue.now());
+    EXPECT_EQ(engine.executed(), queue.executed());
+    EXPECT_GT(windowed.size(), 16u);
+}
+
+/** Golden decision of one full System run. */
+struct Golden
+{
+    Cycle makespan;
+    std::uint64_t events;
+    std::uint64_t messages;
+    std::uint64_t windows;
+};
+
+void
+expectGolden(const RunResult &r, const Golden &g, const std::string &what)
+{
+    EXPECT_EQ(r.makespan, g.makespan) << what;
+    EXPECT_EQ(r.eventsExecuted, g.events) << what;
+    EXPECT_EQ(r.messagesOnNoc, g.messages) << what;
+    EXPECT_EQ(r.simWindows, g.windows) << what;
+}
+
+TEST(SimEngine, SystemGoldensAcrossNocMatrix)
+{
+    // A full 4-pipeline System across the topology / placement /
+    // batching / credit matrix: timing, traffic and window count are
+    // pinned, so any change to the barrier semantics fails here.
+    struct NocPoint
+    {
+        TopologyKind topology;
+        PlacementKind placement;
+        bool batch;
+        unsigned credits;
+        Golden golden;
+    };
+    const NocPoint points[] = {
+        {TopologyKind::Fixed, PlacementKind::Adjacent, false, 0,
+         {3394531, 48533, 19136, 12545}},
+        {TopologyKind::Ring, PlacementKind::Spread, true, 1,
+         {3401615, 51283, 20477, 27565}},
+        {TopologyKind::Mesh, PlacementKind::Random, true, 2,
+         {3347783, 51466, 20546, 25968}},
+    };
+
+    TaskTrace trace = makeWorkload("Cholesky", 0.02, 3);
+    for (const NocPoint &p : points) {
+        PipelineConfig cfg = paperConfig(32);
+        cfg.numTrs = 4;
+        cfg.numPipelines = 4;
+        cfg.nocTopology = p.topology;
+        cfg.nocPlacement = p.placement;
+        cfg.batchOperands = p.batch;
+        cfg.slicePacketCredits = p.credits;
+        expectGolden(runHardwareThreads(cfg, trace, 8), p.golden,
+                     std::string(toString(p.topology)) + "/" +
+                         toString(p.placement));
+    }
+}
+
+TEST(SimEngine, RelocatedRealKernelGolden)
+{
+    // A real captured StarSs kernel relocated onto the synthetic
+    // address space — the fig17 reference path.
+    auto program = starss::makeCholeskyProgram(1, 6, 8);
+    TaskTrace trace = program->context().relocatedTrace();
+    PipelineConfig cfg = paperConfig(32);
+    cfg.numPipelines = 2;
+    expectGolden(runHardwareThreads(cfg, trace, 4),
+                 {951881, 3719, 1458, 2041}, "relocated Cholesky");
+}
+
+/** Random task stream over a small object pool (dense hazards). */
+TaskTrace
+randomTrace(std::uint64_t seed, unsigned tasks, unsigned objects,
+            unsigned max_ops)
+{
+    Rng rng(seed);
+    TaskTrace trace;
+    trace.name = "fuzz";
+    trace.addKernel("k");
+    std::vector<std::uint64_t> pool(objects);
+    for (unsigned i = 0; i < objects; ++i)
+        pool[i] = 0x1000 + 0x1000ULL * i;
+
+    TaskBuilder b(trace);
+    for (unsigned t = 0; t < tasks; ++t) {
+        auto nops = static_cast<unsigned>(
+            rng.rangeInclusive(1, static_cast<std::int64_t>(max_ops)));
+        b.begin(0, 200 + rng.range(20000));
+        std::vector<std::uint64_t> used;
+        for (unsigned i = 0; i < nops; ++i) {
+            std::uint64_t addr = pool[rng.range(objects)];
+            bool dup = false;
+            for (std::uint64_t u : used)
+                dup |= u == addr;
+            if (dup)
+                continue;
+            used.push_back(addr);
+            double r = rng.uniform();
+            if (r < 0.15)
+                b.scalar();
+            else if (r < 0.55)
+                b.in(addr, 1024);
+            else if (r < 0.8)
+                b.inout(addr, 1024);
+            else
+                b.out(addr, 1024);
+        }
+        b.commit();
+    }
+    return trace;
+}
+
+/**
+ * Golden window/fusion counters for one pinned configuration. These
+ * are simulated-state functions: any engine change that shifts them
+ * must be intentional and update these numbers (and BENCH_sim.json).
+ */
+TEST(SimEngine, GoldenWindowCounters)
+{
+    TaskTrace trace = randomTrace(1, 80, 10, 5);
+    PipelineConfig cfg;
+    cfg.numPipelines = 2;
+    cfg.numCores = 32;
+    cfg.nocTopology = TopologyKind::Ring;
+    cfg.nocPlacement = PlacementKind::Adjacent;
+    cfg.traceMode = obs::TraceMode::Full;
+    auto sys = SystemBuilder(cfg, trace).build();
+    sys->run();
+    const SimEngine::WindowStats &w = sys->simEngine().windowStats();
+
+    // Every window has at least one active shard.
+    EXPECT_EQ(w.windows, w.singleShard + w.multiShard);
+    EXPECT_GE(w.singleShard, w.fusedWindows);
+    EXPECT_GE(w.occupancySum, w.singleShard + 2 * w.multiShard);
+
+    // Pinned goldens (ring/adjacent, 2 pipelines, 32 cores, seed 1).
+    EXPECT_EQ(w.windows, 3148u);
+    EXPECT_EQ(w.singleShard, 2883u);
+    EXPECT_EQ(w.fusedWindows, 2653u);
+    EXPECT_EQ(w.multiShard, 265u);
+    EXPECT_EQ(w.occupancySum, 3415u);
+    EXPECT_EQ(w.maxOccupancy, 3u); // 2 pipelines + backend
 }
 
 /** Every deterministic field of two RunResults must agree exactly. */
@@ -246,64 +383,6 @@ expectIdentical(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.coreOf, b.coreOf) << what;
 }
 
-TEST(SimEngine, SystemBitIdenticalAcrossSimThreads)
-{
-    // The acceptance contract: a full multi-pipeline System produces
-    // bit-identical results — timing, stats, and the complete
-    // scheduling decision — at simThreads 1, 2 and 4, across the
-    // topology / placement / batching / credit matrix.
-    struct NocPoint
-    {
-        TopologyKind topology;
-        PlacementKind placement;
-        bool batch;
-        unsigned credits;
-    };
-    const NocPoint points[] = {
-        {TopologyKind::Fixed, PlacementKind::Adjacent, false, 0},
-        {TopologyKind::Ring, PlacementKind::Spread, true, 1},
-        {TopologyKind::Mesh, PlacementKind::Random, true, 2},
-    };
-
-    TaskTrace trace = makeWorkload("Cholesky", 0.02, 3);
-    for (const NocPoint &p : points) {
-        PipelineConfig cfg = paperConfig(32);
-        cfg.numTrs = 4;
-        cfg.numPipelines = 4;
-        cfg.nocTopology = p.topology;
-        cfg.nocPlacement = p.placement;
-        cfg.batchOperands = p.batch;
-        cfg.slicePacketCredits = p.credits;
-
-        cfg.simThreads = 1;
-        RunResult baseline = runHardwareThreads(cfg, trace, 8);
-        for (unsigned threads : {2u, 4u}) {
-            cfg.simThreads = threads;
-            RunResult parallel = runHardwareThreads(cfg, trace, 8);
-            expectIdentical(parallel, baseline,
-                            std::string(toString(p.topology)) + "/" +
-                                toString(p.placement) + "/" +
-                                std::to_string(threads) + " threads");
-        }
-    }
-}
-
-TEST(SimEngine, RelocatedRealKernelBitIdenticalAcrossSimThreads)
-{
-    // Same contract on a real captured StarSs kernel relocated onto
-    // the synthetic address space — the fig17 reference path.
-    auto program = starss::makeCholeskyProgram(1, 6, 8);
-    TaskTrace trace = program->context().relocatedTrace();
-    PipelineConfig cfg = paperConfig(32);
-    cfg.numPipelines = 2;
-
-    cfg.simThreads = 1;
-    RunResult baseline = runHardwareThreads(cfg, trace, 4);
-    cfg.simThreads = 2;
-    RunResult parallel = runHardwareThreads(cfg, trace, 4);
-    expectIdentical(parallel, baseline, "relocated Cholesky");
-}
-
 TEST(SimEngine, ConcurrentSystemsAreIndependent)
 {
     // Independent Systems simulating on different host threads (the
@@ -318,8 +397,8 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
     PipelineConfig cfg = paperConfig(32);
     cfg.numPipelines = 2;
 
-    cfg.simThreads = 1;
     RunResult baseline = runHardwareThreads(cfg, trace, 4);
+    EXPECT_EQ(baseline.makespan, 3377056u);
 
     constexpr unsigned kThreads = 6;
     constexpr unsigned kRunsPerThread = 3;
@@ -327,13 +406,9 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
     std::vector<std::thread> runners;
     for (unsigned t = 0; t < kThreads; ++t) {
         runners.emplace_back([&, t] {
-            // Half the threads drain on a 2-thread engine so their
-            // barriers raise deferFloor while the others simulate.
-            PipelineConfig mine = cfg;
-            mine.simThreads = (t % 2) ? 2 : 1;
             for (unsigned r = 0; r < kRunsPerThread; ++r)
                 results[t * kRunsPerThread + r] =
-                    runHardwareThreads(mine, trace, 4);
+                    runHardwareThreads(cfg, trace, 4);
         });
     }
     for (auto &runner : runners)
@@ -352,7 +427,7 @@ TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
     // pools, defer logs and the barrier buffer are warm, windows must
     // run without a single heap allocation.
     constexpr Cycle latency = 3;
-    SimEngine engine(2, 1);
+    SimEngine engine(2);
     SimpleNetwork net("net", engine.shard(0), latency);
     engine.setLookahead(net.minDeliveryDelay());
 
@@ -398,23 +473,6 @@ TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
     EXPECT_GE(engine.executed() - events, 50000u);
     EXPECT_GT(engine.windowStats().windows - windows, 1000u);
     EXPECT_GT(engine.windowStats().multiShard - multi, 1000u);
-}
-
-TEST(SimEngine, ThreadsClampToDomainsAndOverClampIsIdentical)
-{
-    // simThreads beyond the domain count clamps (numPipelines = 1 has
-    // one pipeline shard plus the backend domain, so 8 threads clamp
-    // to 2) and still produces the sequential result.
-    TaskTrace trace = makeWorkload("MatMul", 0.05, 7);
-    PipelineConfig cfg = paperConfig(16);
-
-    cfg.simThreads = 1;
-    RunResult baseline = runHardware(cfg, trace);
-    cfg.simThreads = 8;
-    auto pipeline = SystemBuilder(cfg, trace).build();
-    EXPECT_EQ(pipeline->simEngine().effectiveThreads(), 2u);
-    RunResult clamped = pipeline->run();
-    expectIdentical(clamped, baseline, "over-clamped threads");
 }
 
 } // namespace

@@ -15,7 +15,7 @@
  * Usage:
  *   tss-serve --socket=/tmp/tss.sock
  *       [machine knobs: --pipes=N --trs=N --ort=N --cores=N
- *        --sim-threads=N --topology=... --credits=N ...]
+ *        --topology=... --credits=N ...]
  *       [service knobs: --gen-threads=N --admit-queue=N
  *        --stage-queue=N --parse-workers=N --admit-workers=N
  *        --execute-workers=N --carve-mb=N]
@@ -28,6 +28,10 @@
  * tenant programs no longer kill the daemon: they retire as wedged
  * jobs whose liveness diagnosis (slice occupancy, culprit operand,
  * flight-recorder tail) lands in the Stats report.
+ *
+ * Worker and queue counts must lie in [1, 256] and [1, 2^32 - 1],
+ * and --carve-mb must be at least 1 and fit 64 bits in bytes; any
+ * other value exits non-zero before the service starts.
  */
 
 #include <csignal>
@@ -52,18 +56,23 @@ main(int argc, char **argv)
     cfg.machine.numCores = 128;
     opts.apply(cfg.machine);
     cfg.genThreads = opts.genThreads(1);
-    cfg.admitCapacity = static_cast<std::size_t>(
-        args.getLong("admit-queue", 8));
-    cfg.stageCapacity = static_cast<std::size_t>(
-        args.getLong("stage-queue", 8));
-    cfg.parseWorkers =
-        static_cast<unsigned>(args.getLong("parse-workers", 1));
-    cfg.admitWorkers =
-        static_cast<unsigned>(args.getLong("admit-workers", 1));
-    cfg.executeWorkers =
-        static_cast<unsigned>(args.getLong("execute-workers", 2));
-    cfg.carveBytes = static_cast<std::uint64_t>(
-                         args.getLong("carve-mb", 256)) << 20;
+    constexpr std::uint64_t max_workers = 256;
+    auto queue = [&args](const char *key, std::size_t fallback) {
+        return static_cast<std::size_t>(
+            args.getBounded(key, 1, UINT32_MAX).value_or(fallback));
+    };
+    auto workers = [&args](const char *key, unsigned fallback) {
+        return static_cast<unsigned>(
+            args.getBounded(key, 1, max_workers).value_or(fallback));
+    };
+    cfg.admitCapacity = queue("admit-queue", 8);
+    cfg.stageCapacity = queue("stage-queue", 8);
+    cfg.parseWorkers = workers("parse-workers", 1);
+    cfg.admitWorkers = workers("admit-workers", 1);
+    cfg.executeWorkers = workers("execute-workers", 2);
+    std::uint64_t carve_mb =
+        args.getBounded("carve-mb", 1, UINT64_MAX >> 20).value_or(256);
+    cfg.carveBytes = carve_mb << 20;
     cfg.recordJobTraces = args.has("job-traces");
     long max_events = args.getLong("max-events-per-job", 0);
     if (max_events > 0)
