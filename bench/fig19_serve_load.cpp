@@ -23,6 +23,7 @@
  * `compare_bench.py capture`); progress goes to stderr.
  *
  * Usage: fig19_serve_load [--quick|--full] [--tenants=N] [--jobs=N]
+ *        (tenants 1-64, one driver thread each; jobs 1-1000000)
  */
 
 #include <iostream>
@@ -108,9 +109,9 @@ main(int argc, char **argv)
     tss::CliArgs args(argc, argv);
     bool quick = args.scale(0.0, 1.0, 1.0) < 0.5;
     auto tenants = static_cast<unsigned>(
-        args.getLong("tenants", quick ? 3 : 4));
+        args.getBounded("tenants", 1, 64).value_or(quick ? 3 : 4));
     auto jobs = static_cast<unsigned>(
-        args.getLong("jobs", quick ? 8 : 24));
+        args.getBounded("jobs", 1, 1000000).value_or(quick ? 8 : 24));
 
     // ---- Phase 1: closed loop, deterministic, gated. -------------
     tss::serve::ServeConfig cfg;

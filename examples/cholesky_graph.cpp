@@ -6,6 +6,8 @@
  *
  *   cholesky_graph | dot -Tpng -o cholesky.png
  *
+ * --n=N (1-128) sets the block count.
+ *
  * Also prints the graph facts the paper's introduction highlights:
  * the irregular structure and the distant parallelism (e.g. tasks 6
  * and 23 can run concurrently).
@@ -23,7 +25,7 @@ int
 main(int argc, char **argv)
 {
     tss::CliArgs args(argc, argv);
-    auto n = static_cast<unsigned>(args.getLong("n", 5));
+    auto n = static_cast<unsigned>(args.getBounded("n", 1, 128).value_or(5));
 
     tss::TaskTrace trace = tss::genCholeskyBlocked(n);
     tss::DepGraph graph = tss::DepGraph::build(trace);

@@ -90,15 +90,15 @@ SystemBuilder::build()
     // fixed, barrier-ordered memory locations.
     sys->registry.configureIdTable(cfg.totalTrs(), cfg.blocksPerTrs());
 
-    // Event-queue shards: one NoC domain per pipeline plus a
-    // dedicated backend domain. Pipeline p's frontend (gateway +
-    // TRSs + ORT/OVT pairs) drains on shard p; the shared backend
-    // (network, DMA, scheduler) on its own shard `pipes`, so
-    // frontend windows never serialize behind it; sources and worker
-    // cores round-robin over the pipeline domains (cores by
-    // processor ring, so a ring never splits across shards).
+    // NoC domains: one per pipeline plus a dedicated backend domain.
+    // Pipeline p's frontend (gateway + TRSs + ORT/OVT pairs) is
+    // domain p and the shared scheduler is domain `pipes`; sources
+    // and worker cores round-robin over the pipeline domains (cores
+    // by processor ring, so a ring never splits across domains).
+    // Every module schedules on the engine's one queue, which tags
+    // each event with its station's domain.
     SimEngine &engine = *sys->engine;
-    EventQueue &backendq = engine.shard(pipes);
+    EventQueue &q = engine.queue();
 
     // NoC: worker cores plus one master core per task-generating
     // thread; frontend tiles carry the gateways, TRSs, ORT/OVT pairs
@@ -109,10 +109,10 @@ SystemBuilder::build()
     noc.numFrontendTiles = cfg.frontendTiles();
     noc.placement = cfg.nocPlacement;
     noc.placementSeed = cfg.nocPlacementSeed;
-    sys->net = makeTopology(cfg.nocTopology, "noc", backendq, noc);
+    sys->net = makeTopology(cfg.nocTopology, "noc", q, noc);
     TopologyNetwork &net = *sys->net;
 
-    sys->dma = std::make_unique<DmaEngine>("dma", backendq);
+    sys->dma = std::make_unique<DmaEngine>("dma", q);
 
     NodeId sched_node = net.frontendNode(cfg.schedulerTile());
 
@@ -134,44 +134,43 @@ SystemBuilder::build()
     }
 
     for (unsigned p = 0; p < pipes; ++p) {
-        EventQueue &pipeq = engine.shard(p);
         std::string suffix = pipes > 1 ? "p" + std::to_string(p) : "";
         auto gw = std::make_unique<Gateway>(
-            "gateway" + suffix, pipeq, net, gw_nodes[p], scfg,
+            "gateway" + suffix, q, net, gw_nodes[p], scfg,
             sys->registry, sys->stats);
         gw->setPeers(trs_nodes, ort_nodes,
                      std::max(1u, threads_in_pipe[p]), p * cfg.numTrs,
                      ordered);
-        net.bindQueue(gw_nodes[p], pipeq);
+        q.setDomain(gw_nodes[p], p);
         sys->gateways.push_back(std::move(gw));
 
         for (unsigned i = 0; i < cfg.numTrs; ++i) {
             unsigned g = p * cfg.numTrs + i;
             auto trs = std::make_unique<Trs>(
-                "trs" + std::to_string(g), pipeq, net, trs_nodes[g],
+                "trs" + std::to_string(g), q, net, trs_nodes[g],
                 g, scfg, sys->registry, sys->stats);
             trs->setPeers(gw_nodes[p], sched_node, trs_nodes,
                           ovt_nodes,
                           ordered ? gw_nodes : std::vector<NodeId>{});
-            net.bindQueue(trs_nodes[g], pipeq);
+            q.setDomain(trs_nodes[g], p);
             sys->trsModules.push_back(std::move(trs));
         }
 
         for (unsigned i = 0; i < cfg.numOrt; ++i) {
             unsigned g = p * cfg.numOrt + i;
             auto ort = std::make_unique<Ort>(
-                "ort" + std::to_string(g), pipeq, net, ort_nodes[g],
+                "ort" + std::to_string(g), q, net, ort_nodes[g],
                 g, scfg, sys->stats);
             ort->setPeers(gw_nodes, trs_nodes, ovt_nodes[g], ordered,
                           &sys->registry);
-            net.bindQueue(ort_nodes[g], pipeq);
+            q.setDomain(ort_nodes[g], p);
             sys->ortModules.push_back(std::move(ort));
 
             auto ovt = std::make_unique<Ovt>(
-                "ovt" + std::to_string(g), pipeq, net, ovt_nodes[g],
+                "ovt" + std::to_string(g), q, net, ovt_nodes[g],
                 g, scfg, sys->stats, *sys->dma);
             ovt->setPeers(ort_nodes[g], trs_nodes);
-            net.bindQueue(ovt_nodes[g], pipeq);
+            q.setDomain(ovt_nodes[g], p);
             sys->ovtModules.push_back(std::move(ovt));
         }
     }
@@ -204,40 +203,37 @@ SystemBuilder::build()
             if (threadOf[t] == thread)
                 indices.push_back(t);
         }
-        EventQueue &srcq = engine.shard(pipe);
         auto source = std::make_unique<TaskSource>(
-            "source" + std::to_string(thread), srcq, net,
+            "source" + std::to_string(thread), q, net,
             net.coreNode(thread), scfg, sys->registry, sys->stats,
             std::move(indices), thread / pipes, credit_share);
         source->setGateway(gw_nodes[pipe]);
-        net.bindQueue(net.coreNode(thread), srcq);
+        q.setDomain(net.coreNode(thread), pipe);
         sys->sources.push_back(std::move(source));
     }
 
-    sys->sched = std::make_unique<Scheduler>("scheduler", backendq, net,
+    sys->sched = std::make_unique<Scheduler>("scheduler", q, net,
                                              sched_node, scfg);
-    net.bindQueue(sched_node, backendq);
+    q.setDomain(sched_node, pipes);
 
     std::vector<NodeId> worker_nodes;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         NodeId node = net.coreNode(c + num_threads);
         worker_nodes.push_back(node);
-        // Whole processor rings share a domain so a ring's cores
-        // never drain on two shards.
+        // Whole processor rings share a domain.
         unsigned ring = static_cast<unsigned>(node) / noc.coresPerRing;
-        EventQueue &coreq = engine.shard(ring % pipes);
         auto worker = std::make_unique<WorkerCore>(
-            "core" + std::to_string(c), coreq, net, node, c, scfg,
+            "core" + std::to_string(c), q, net, node, c, scfg,
             sys->registry);
         worker->setPeers(sched_node, trs_nodes);
-        net.bindQueue(node, coreq);
+        q.setDomain(node, ring % pipes);
         sys->workers.push_back(std::move(worker));
     }
     sys->sched->setWorkers(worker_nodes);
 
     engine.setLookahead(net.minDeliveryDelay());
 
-    // The flight recorder: one buffer per event shard, wired into the
+    // The flight recorder: one buffer per NoC domain, wired into the
     // engine so records key on the DeferKey of the emitting event (see
     // obs/trace.hh). Track names make the Chrome export readable.
     if (scfg.traceMode != obs::TraceMode::Off) {
@@ -404,13 +400,13 @@ System::buildMetrics()
         return engine->windowStats().windows;
     });
     metrics.addCounter("engine.single_shard_windows", [this] {
-        return engine->windowStats().singleShard;
+        return engine->windowStats().singleDomain;
     });
     metrics.addCounter("engine.fused_windows", [this] {
         return engine->windowStats().fusedWindows;
     });
     metrics.addCounter("engine.multi_shard_windows", [this] {
-        return engine->windowStats().multiShard;
+        return engine->windowStats().multiDomain;
     });
     metrics.addCounter("engine.window_occupancy_sum", [this] {
         return engine->windowStats().occupancySum;
@@ -546,9 +542,9 @@ System::collectResult()
 
     const SimEngine::WindowStats &ws = engine->windowStats();
     result.simWindows = ws.windows;
-    result.simSingleShardWindows = ws.singleShard;
+    result.simSingleShardWindows = ws.singleDomain;
     result.simFusedWindows = ws.fusedWindows;
-    result.simMultiShardWindows = ws.multiShard;
+    result.simMultiShardWindows = ws.multiDomain;
     result.simWindowOccupancySum = ws.occupancySum;
     result.simMaxWindowOccupancy = ws.maxOccupancy;
 

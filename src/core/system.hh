@@ -83,11 +83,11 @@ struct RunResult
     /// SimEngine::WindowStats.
     /// @{
     std::uint64_t simWindows = 0;          ///< lookahead windows run
-    std::uint64_t simSingleShardWindows = 0; ///< one active shard
-    std::uint64_t simFusedWindows = 0;     ///< consecutive single-shard
-    std::uint64_t simMultiShardWindows = 0; ///< >= 2 active shards
-    std::uint64_t simWindowOccupancySum = 0; ///< Σ active shards
-    std::uint64_t simMaxWindowOccupancy = 0; ///< peak active shards
+    std::uint64_t simSingleShardWindows = 0; ///< one active domain
+    std::uint64_t simFusedWindows = 0;     ///< consecutive single-domain
+    std::uint64_t simMultiShardWindows = 0; ///< >= 2 active domains
+    std::uint64_t simWindowOccupancySum = 0; ///< Σ active domains
+    std::uint64_t simMaxWindowOccupancy = 0; ///< peak active domains
     /// @}
 
     /** Trace indices ordered by execution start time. */
@@ -198,14 +198,10 @@ class System
     /// @{
     const PipelineConfig &config() const { return cfg; }
 
-    /**
-     * The backend domain's event-queue shard: the dedicated last
-     * domain carrying the shared network, DMA and scheduler, so
-     * frontend pipeline windows never serialize behind it.
-     */
-    EventQueue &eventQueue() { return engine->shard(cfg.numPipelines); }
+    /** The one event queue every module of this machine uses. */
+    EventQueue &eventQueue() { return engine->queue(); }
 
-    /** The sharded windowed engine driving this machine. */
+    /** The windowed engine driving this machine. */
     SimEngine &simEngine() { return *engine; }
     TaskRegistry &taskRegistry() { return registry; }
     FrontendStats &frontendStats() { return stats; }
@@ -265,8 +261,8 @@ class System
     const TaskTrace &trace;
     bool shared = false; ///< threads share data; ordered mode active
 
-    /// One event-queue shard per pipeline NoC domain; declared before
-    /// the modules so it outlives every queue reference they hold.
+    /// The engine and its queue; declared before the modules so it
+    /// outlives every queue reference they hold.
     std::unique_ptr<SimEngine> engine;
     TaskRegistry registry;
     FrontendStats stats;

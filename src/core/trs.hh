@@ -36,11 +36,8 @@ struct FrontendStats
     Counter batchedOperands; ///< operands that rode a batch packet
     Distribution batchFill;  ///< operands per memory issue event
                              ///< (sampled only with batching on)
-    /// Stall cycles accumulate from ORTs / task sources in different
-    /// NoC domains; sums commute, so relaxed atomics keep the totals
-    /// thread-count independent.
-    std::atomic<Cycle> gatewayStallCycles{0};
-    std::atomic<Cycle> sourceStallCycles{0};
+    Cycle gatewayStallCycles = 0; ///< summed over every ORT
+    Cycle sourceStallCycles = 0;  ///< summed over every task source
     Distribution chainConsumers; ///< consumers chained per version
     Distribution fragmentation;  ///< TRS allocation waste fraction
     Distribution decodeLatency;  ///< submit -> decodeDone per task

@@ -41,8 +41,8 @@ class DmaEngine : public SimObject
      * Enqueue a copy of @p bytes; @p done fires at completion. The
      * channel is shared global state, so under the windowed engine
      * the reservation is deferred to the window barrier (like
-     * Network::send); the completion callback is scheduled back onto
-     * the requesting station's own queue shard.
+     * Network::send); the completion callback is stamped with the
+     * requesting station, so it fires in that station's domain.
      */
     void
     transfer(Bytes bytes, Callback done = nullptr)
@@ -50,15 +50,14 @@ class DmaEngine : public SimObject
         if (execCtx.sink) {
             execCtx.sink->record(
                 execCtx.nextKey(),
-                [this, bytes, req = execCtx.when, q = execCtx.queue,
+                [this, bytes, req = execCtx.when,
                  station = execCtx.station,
                  cb = std::move(done)]() mutable {
-                    applyTransfer(bytes, std::move(cb), req, *q,
-                                  station);
+                    applyTransfer(bytes, std::move(cb), req, station);
                 });
         } else {
             applyTransfer(bytes, std::move(done), curCycle(),
-                          eventQueue(), EventQueue::noStation);
+                          EventQueue::noStation);
         }
     }
 
@@ -69,7 +68,7 @@ class DmaEngine : public SimObject
   private:
     void
     applyTransfer(Bytes bytes, Callback done, Cycle req,
-                  EventQueue &q, std::int32_t station)
+                  std::int32_t station)
     {
         Cycle duration = startupLatency +
             static_cast<Cycle>(static_cast<double>(bytes) / bandwidth);
@@ -78,6 +77,7 @@ class DmaEngine : public SimObject
         ++transfers;
         bytesCopied += bytes;
         if (done) {
+            EventQueue &q = eventQueue();
             Cycle at = std::max(channelFreeAt, q.windowFloor());
             q.scheduleStation(at, station,
                               [cb = std::move(done)] { cb(); });

@@ -43,25 +43,6 @@ class Network : public SimObject
     }
 
     /**
-     * Route deliveries for @p node through @p eq — the event-queue
-     * shard of the node's NoC domain. Unbound nodes deliver on the
-     * network's own queue (the single-queue configuration).
-     */
-    void
-    bindQueue(NodeId node, EventQueue &eq)
-    {
-        port(node).queue = &eq;
-    }
-
-    /** The queue @p node is bound to, or nullptr if unbound. */
-    EventQueue *
-    boundQueue(NodeId node) const
-    {
-        auto index = static_cast<std::size_t>(node);
-        return index < ports.size() ? ports[index].queue : nullptr;
-    }
-
-    /**
      * Inject @p msg; ownership passes to the network. Routes now, or
      * defers to the window barrier under the windowed engine.
      */
@@ -100,11 +81,11 @@ class Network : public SimObject
     /**
      * Deliver @p msg at absolute @p when, clamped so that messages
      * between the same pair of nodes never reorder, and floored at
-     * the destination shard's window end (EventQueue::windowFloor;
-     * only same-station self-messages can compute below it — see
-     * sim/sim_engine.hh). The delivery event is scheduled on the
-     * destination's bound queue, stamped with the destination
-     * station.
+     * the window end (EventQueue::windowFloor; only same-station
+     * self-messages can compute below it — see sim/sim_engine.hh).
+     * The delivery event is scheduled on the network's queue,
+     * stamped with the destination station (and so tagged with its
+     * domain).
      */
     void
     deliverAt(Cycle when, MessagePtr msg)
@@ -113,7 +94,7 @@ class Network : public SimObject
         TSS_ASSERT(dst_index < ports.size() && ports[dst_index].endpoint,
                    "message to unattached node %d", msg->dst);
         Port &dst = ports[dst_index];
-        EventQueue &q = dst.queue ? *dst.queue : eventQueue();
+        EventQueue &q = eventQueue();
         if (when < q.windowFloor())
             when = q.windowFloor();
 
@@ -149,7 +130,6 @@ class Network : public SimObject
     struct Port
     {
         Endpoint *endpoint = nullptr;
-        EventQueue *queue = nullptr; ///< bound shard (null: own queue)
         /// Per-source FIFO clamp: latest delivery cycle from each
         /// source node (indexed by NodeId, grown on first message).
         std::vector<Cycle> lastFrom;

@@ -23,7 +23,7 @@ namespace obs
  * - Off: no Tracer is constructed; the emit fast path is a single
  *   thread-local nullptr test (and compiles out entirely under
  *   TSS_OBS_DISABLE).
- * - Tail: the default. Records flow through the per-shard buffers but
+ * - Tail: the default. Records flow through the per-domain buffers but
  *   only a bounded tail (traceTailRecords) is retained, so a wedged
  *   run can attach its last moments to the LivenessReport at zero
  *   configuration cost.

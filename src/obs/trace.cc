@@ -183,7 +183,7 @@ namespace
 {
 
 /** The global record order: the DeferKey-style (when, station, seq,
- *  sub) key, unique across shards (a station lives on one shard). */
+ *  sub) key, unique across domains (a station is in one domain). */
 bool
 keyLess(const TraceRecord &x, const TraceRecord &y)
 {
@@ -199,16 +199,16 @@ keyLess(const TraceRecord &x, const TraceRecord &y)
 } // namespace
 
 Tracer::Tracer(TraceMode mode, std::uint32_t filter_mask,
-               unsigned num_shards, std::size_t tail_records)
+               unsigned num_domains, std::size_t tail_records)
     : _mode(mode), mask(filter_mask), barrier(filter_mask),
       tailCap(tail_records == 0 ? 1 : tail_records)
 {
-    shardBufs.reserve(num_shards);
-    for (unsigned i = 0; i < num_shards; ++i)
-        shardBufs.emplace_back(filter_mask);
+    domainBufs.reserve(num_domains);
+    for (unsigned i = 0; i < num_domains; ++i)
+        domainBufs.emplace_back(filter_mask);
     if (_mode == TraceMode::Tail) {
         // Bounded tail: preallocated rings, no per-window drain.
-        for (TraceBuf &buf : shardBufs)
+        for (TraceBuf &buf : domainBufs)
             buf.setRing(tailCap);
         barrier.setRing(tailCap);
     }
@@ -240,7 +240,7 @@ Tracer::drainWindow()
         return; // rings self-retain; end-sorted once in tailJson()
 
     std::vector<TraceRecord> window;
-    for (TraceBuf &buf : shardBufs) {
+    for (TraceBuf &buf : domainBufs) {
         std::vector<TraceRecord> recs = buf.take();
         window.insert(window.end(), recs.begin(), recs.end());
     }
@@ -267,7 +267,7 @@ Tracer::totalRecords() const
     if (_mode != TraceMode::Tail)
         return total;
     std::uint64_t n = barrier.emitted();
-    for (const TraceBuf &buf : shardBufs)
+    for (const TraceBuf &buf : domainBufs)
         n += buf.emitted();
     return n;
 }
@@ -415,7 +415,7 @@ Tracer::tailJson() const
 {
     std::vector<TraceRecord> records;
     if (_mode == TraceMode::Tail) {
-        for (const TraceBuf &buf : shardBufs) {
+        for (const TraceBuf &buf : domainBufs) {
             std::vector<TraceRecord> recs = buf.ringTail();
             records.insert(records.end(), recs.begin(), recs.end());
         }

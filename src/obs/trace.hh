@@ -3,22 +3,24 @@
  * Flight-recorder cycle tracer. Every instrumented module calls the
  * free function obs::trace() — a thread-local nullptr test when
  * tracing is off — which appends a compact cycle-stamped record to
- * the buffer of the event-queue shard currently draining (or to the
- * barrier buffer while the engine applies deferred operations).
+ * the buffer of the executing event's NoC domain (or to the barrier
+ * buffer while the engine applies deferred operations).
  *
  * Determinism: each record carries the DeferKey-style sort key of the
  * event that emitted it — (cycle, station, per-station sequence) from
  * the thread-local ExecContext plus a per-event sub-index — and
  * barrier-side records take (cycle, sentinel station, barrier
  * sequence). In Full mode, at every window barrier the Tracer
- * concatenates the shard buffers in shard-index order plus the
- * barrier buffer and stable-sorts by that key. In Tail mode the
- * buffers are preallocated power-of-two rings — one masked store per
- * record, nothing per window — and the export key-sorts the
- * surviving per-shard tails once at the end. Both the per-shard
- * contents and the barrier apply order are pure functions of
- * simulated state, so the drained record stream — and the exported
- * Chrome trace-event JSON — is byte-identical from run to run.
+ * concatenates the domain buffers in domain order plus the barrier
+ * buffer and stable-sorts by that key. In Tail mode the buffers are
+ * preallocated power-of-two rings — one masked store per record,
+ * nothing per window — and the export key-sorts the surviving
+ * per-domain tails once at the end. Buffers are per domain, not one
+ * shared ring, so a busy domain cannot push a quiet domain's last
+ * records out of the tail. Both the per-domain contents and the
+ * barrier apply order are pure functions of simulated state, so the
+ * drained record stream — and the exported Chrome trace-event JSON —
+ * is byte-identical from run to run.
  *
  * The exporter emits integers only (cycle timestamps, packed ids), so
  * the bytes are also host-independent.
@@ -90,9 +92,9 @@ struct TraceRecord
 };
 
 /**
- * Per-shard (or barrier-side) record buffer. Only the draining thread
- * of the owning shard appends; the Tracer's drainWindow() — on the
- * barrier thread, with all shards quiescent — moves records out.
+ * Per-domain (or barrier-side) record buffer. The owning domain's
+ * events append; the Tracer's drainWindow() — at the window barrier —
+ * moves records out.
  *
  * Two storage modes. Growable (Full-mode default): records append to
  * a vector that drainWindow() takes every window. Ring (Tail mode,
@@ -151,7 +153,7 @@ class TraceBuf
         r.b = b;
         r.a = a;
         r.type = type;
-        if (execCtx.queue) {
+        if (execCtx.sink) {
             if (execCtx.when != keyWhen ||
                 execCtx.station != keyStation ||
                 execCtx.seq != keySeq) {
@@ -223,24 +225,24 @@ trace(TraceEvent type, Cycle when, std::uint32_t a, std::uint64_t b = 0)
 }
 
 /**
- * The flight recorder of one System run: owns one TraceBuf per event
- * shard plus a barrier buffer, drains them deterministically at every
+ * The flight recorder of one System run: owns one TraceBuf per NoC
+ * domain plus a barrier buffer, drains them deterministically at every
  * window barrier, and exports Chrome trace-event JSON.
  */
 class Tracer
 {
   public:
     Tracer(TraceMode mode, std::uint32_t filter_mask,
-           unsigned num_shards, std::size_t tail_records);
+           unsigned num_domains, std::size_t tail_records);
 
     TraceMode mode() const { return _mode; }
-    unsigned numShards() const
+    unsigned numDomains() const
     {
-        return static_cast<unsigned>(shardBufs.size());
+        return static_cast<unsigned>(domainBufs.size());
     }
 
-    /** Buffer to wire into shard @p i's EventQueue. */
-    TraceBuf *shardBuf(unsigned i) { return &shardBufs[i]; }
+    /** Buffer of domain @p i; the engine's queue indexes from 0. */
+    TraceBuf *domainBuf(unsigned i) { return &domainBufs[i]; }
 
     /** Route emissions to the barrier buffer (engine apply phase). */
     void beginBarrier();
@@ -251,8 +253,8 @@ class Tracer
     void recordWindowBarrier(Cycle window_end, std::size_t applied);
 
     /**
-     * Merge this window's shard + barrier buffers into the retained
-     * log: concatenate in shard-index order (barrier buffer last) and
+     * Merge this window's domain + barrier buffers into the retained
+     * log: concatenate in domain order (barrier buffer last) and
      * stable-sort by (when, station, seq, sub). Deterministic by
      * construction. In Tail mode this is a no-op
      * — the ring buffers retain their own tails and tailJson()
@@ -274,8 +276,8 @@ class Tracer
 
     /**
      * Bounded-tail Chrome JSON — what LivenessReport attaches. Tail
-     * mode: the union of the per-shard rings (each a deterministic
-     * per-shard suffix), key-sorted, trimmed to the last tailCap
+     * mode: the union of the per-domain rings (each a deterministic
+     * per-domain suffix), key-sorted, trimmed to the last tailCap
      * records. Full mode: the last tailCap of the drained stream.
      */
     std::string tailJson() const;
@@ -293,7 +295,7 @@ class Tracer
 
     TraceMode _mode;
     std::uint32_t mask;
-    std::vector<TraceBuf> shardBufs;
+    std::vector<TraceBuf> domainBufs;
     TraceBuf barrier;
     std::vector<TraceRecord> full;   ///< Full mode retention
     std::deque<TraceRecord> tail;    ///< bounded always-on tail

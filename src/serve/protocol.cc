@@ -155,11 +155,16 @@ parseTraceText(const std::string &text, TaskTrace &out)
 }
 
 bool
-operandsFitLayout(const TaskTrace &trace)
+validateTrace(const TaskTrace &trace)
 {
-    for (const TraceTask &task : trace.tasks)
-        if (task.operands.size() > layout::maxOperands)
+    for (const TraceTask &task : trace.tasks) {
+        if (task.operands.size() > layout::maxOperands ||
+            task.runtime > maxTaskRuntime)
             return false;
+        for (const TraceOperand &op : task.operands)
+            if (op.bytes > ~op.addr)
+                return false;
+    }
     return true;
 }
 

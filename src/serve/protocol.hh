@@ -88,10 +88,20 @@ bool writeFrame(int fd, const Frame &frame);
 bool parseTraceText(const std::string &text, TaskTrace &out);
 
 /**
- * True when every task of @p trace fits the TRS operand layout
- * (layout::maxOperands); SystemBuilder would fatal() on a wider one.
+ * Largest task runtime a job may carry (2^40 cycles, about 340 s at
+ * 3.2 GHz). Cycle arithmetic on anything near 2^64 would overflow.
  */
-bool operandsFitLayout(const TaskTrace &trace);
+constexpr Cycle maxTaskRuntime = Cycle(1) << 40;
+
+/**
+ * The service's check of a parsed job, for wire text and in-process
+ * traces alike: false when a task is wider than the TRS operand
+ * layout (layout::maxOperands), runs longer than maxTaskRuntime, or
+ * names an operand whose addr + bytes wraps past 2^64. Each of these
+ * would otherwise kill the process later (fatal() or an assertion in
+ * SystemBuilder, the event queue or the relocator).
+ */
+bool validateTrace(const TaskTrace &trace);
 
 /** Serialize @p trace to the Submit payload text. */
 std::string formatTraceText(const TaskTrace &trace);

@@ -138,10 +138,9 @@ TraceService::parseWorker()
 {
     while (auto job = parseQueue.pop()) {
         std::int64_t t0 = uptimeUs();
-        // In-process traces skip the text parser but not its width
-        // check: an over-wide task must never reach SystemBuilder.
-        bool ok = job->parsed ? operandsFitLayout(job->trace)
-                              : parseTraceText(job->text, job->trace);
+        // In-process traces skip the text parser but not the check.
+        bool ok = (job->parsed || parseTraceText(job->text, job->trace)) &&
+            validateTrace(job->trace);
         if (!ok) {
             job->outcome = Job::Outcome::ParseError;
             reportQueue.push(std::move(*job));

@@ -1,12 +1,12 @@
 /**
  * @file
- * The discrete-event simulation kernel. An event queue drives the
- * modules of one NoC domain (the whole system is a single domain in
- * the classic configuration); events scheduled for the same cycle
- * execute in (priority, station, per-station sequence) order so that
- * simulations are fully deterministic — the same tie-break key the
- * windowed engine (sim/sim_engine.hh) uses to merge cross-domain
- * operations at window barriers.
+ * The discrete-event simulation kernel. One event queue drives every
+ * module of a machine; events scheduled for the same cycle execute in
+ * (priority, station, per-station sequence) order so that simulations
+ * are fully deterministic — the same tie-break key the windowed
+ * engine (sim/sim_engine.hh) uses to order cross-domain operations at
+ * window barriers. Each event also carries the NoC domain of its
+ * station as a tag, which the engine reads to define its windows.
  */
 
 #ifndef TSS_SIM_EVENT_QUEUE_HH
@@ -91,8 +91,34 @@ class EventQueue
         return overflow.empty() ? invalidCycle : overflow.front().when;
     }
 
+    /** Tag every event of @p station with NoC domain @p domain. */
+    void
+    setDomain(std::int32_t station, unsigned domain)
+    {
+        auto index = static_cast<std::size_t>(station + 1);
+        if (index >= domainOfStation.size())
+            domainOfStation.resize(index + 1, 0);
+        domainOfStation[index] = domain;
+        _numDomains = std::max(_numDomains, domain + 1);
+    }
+
+    /** One more than the highest domain tag set (1 when none is). */
+    unsigned numDomains() const { return _numDomains; }
+
+    /** The NoC domain of @p station (0 unless set). */
+    unsigned
+    domainOf(std::int32_t station) const
+    {
+        auto index = static_cast<std::size_t>(station + 1);
+        return index < domainOfStation.size() ? domainOfStation[index]
+                                              : 0;
+    }
+
     /**
      * Schedule an event at an absolute cycle on behalf of a station.
+     * Under the windowed engine an event may only schedule onto
+     * stations of its own domain (other domains' effects defer to the
+     * window barrier), and every event needs a station.
      * @param when Absolute firing time; must not be in the past.
      * @param station Scheduling station (a NoC node id), or noStation.
      * @param fn Callback to execute.
@@ -105,6 +131,16 @@ class EventQueue
         TSS_ASSERT(when >= _now,
                    "event scheduled in the past (%llu < %llu)",
                    (unsigned long long)when, (unsigned long long)_now);
+        unsigned domain = domainOf(station);
+        if (sink) {
+            TSS_ASSERT(station != noStation,
+                       "engine-driven event scheduled without a station");
+            TSS_ASSERT(execCtx.sink != sink || domain == execCtx.domain,
+                       "station %d's event (domain %u) scheduled onto "
+                       "station %d (domain %u) inside a window",
+                       (int)execCtx.station, execCtx.domain, (int)station,
+                       domain);
+        }
         std::uint32_t slot;
         if (freeSlots.empty()) {
             slot = static_cast<std::uint32_t>(slab.size());
@@ -114,7 +150,8 @@ class EventQueue
             freeSlots.pop_back();
             slab[slot] = std::move(fn);
         }
-        Key key{when, stationSeq(station), priority, station, slot};
+        Key key{when, stationSeq(station), priority, station, slot,
+                domain};
         if (when - _now < ringBuckets) {
             pushBucket(key);
         } else {
@@ -166,14 +203,19 @@ class EventQueue
 
     /**
      * Run until simulated time would exceed @p limit (events at
-     * exactly @p limit still execute).
+     * exactly @p limit still execute). For every fired event tagged
+     * with domain d, sets bit d of the bitset @p domains (64 domains
+     * per word, numDomains() bits), when given.
      */
     std::uint64_t
-    runUntil(Cycle limit)
+    runUntil(Cycle limit, std::uint64_t *domains = nullptr)
     {
         std::uint64_t n = 0;
-        for (Cycle t; !empty() && (t = nextTime()) <= limit; ++n)
-            fire(t);
+        for (Cycle t; !empty() && (t = nextTime()) <= limit; ++n) {
+            unsigned d = fire(t);
+            if (domains)
+                domains[d / 64] |= std::uint64_t(1) << (d % 64);
+        }
         return n;
     }
 
@@ -188,13 +230,13 @@ class EventQueue
     void setDeferSink(DeferSink *s) { sink = s; }
 
     /**
-     * Wire the flight recorder's buffer for this shard. While set,
-     * every executed event emits into it via the thread-local
+     * Wire the flight recorder's buffers, one per domain: an event
+     * tagged with domain d emits into bufs[d] via the thread-local
      * obs::traceBuf, which step() scopes to the event — the TLS
      * pointer is never left set across runs (independent Systems
      * drain on shared host threads in tss-serve).
      */
-    void setTraceBuf(obs::TraceBuf *t) { trace = t; }
+    void setTraceBufs(obs::TraceBuf *bufs) { trace = bufs; }
 
     /**
      * Conservative floor on deferred operations that schedule onto
@@ -205,7 +247,7 @@ class EventQueue
      * same-station self-messages can, see sim/sim_engine.hh — are
      * lifted to the floor by the apply closures (network delivery,
      * DMA completion, TRS watermark flush) as
-     * `max(computed_time, windowFloor())`, the same for every shard.
+     * `max(computed_time, windowFloor())`.
      *
      * Per queue rather than process-global: independent Systems
      * simulating concurrently (tss-serve runs one per execute worker)
@@ -223,7 +265,9 @@ class EventQueue
         int priority;
         std::int32_t station;
         std::uint32_t slot;
+        std::uint32_t domain; ///< the station's domain; not ordered on
     };
+    static_assert(sizeof(Key) == 32);
 
     struct Later
     {
@@ -265,10 +309,11 @@ class EventQueue
 
     /**
      * Execute the first event of cycle @p when (the earliest pending
-     * cycle). Advancing time slides the ring, so overflow events that
-     * now fall inside its span migrate into their buckets first.
+     * cycle) and return its domain tag. Advancing time slides the
+     * ring, so overflow events that now fall inside its span migrate
+     * into their buckets first.
      */
-    void
+    unsigned
     fire(Cycle when)
     {
         TSS_ASSERT(when >= _now, "event queue went backwards");
@@ -305,11 +350,11 @@ class EventQueue
         freeSlots.push_back(top.slot);
         ++numExecuted;
         if (trace)
-            obs::traceBuf = trace;
+            obs::traceBuf = trace + top.domain;
         if (sink) {
             execCtx.sink = sink;
-            execCtx.queue = this;
             execCtx.station = top.station;
+            execCtx.domain = top.domain;
             execCtx.seq = top.seq;
             execCtx.when = top.when;
             execCtx.opIndex = 0;
@@ -320,6 +365,7 @@ class EventQueue
         }
         if (trace)
             obs::traceBuf = nullptr;
+        return top.domain;
     }
 
     /// Calendar ring: bucket (t % ringBuckets) holds the events of
@@ -333,12 +379,15 @@ class EventQueue
     std::vector<EventFn> slab;
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint64_t> seqOf;
+    /// Domain of each station (dense array, -1 at [0]); see setDomain.
+    std::vector<std::uint32_t> domainOfStation;
+    unsigned _numDomains = 1;
     Cycle _now = 0;
-    Key lastKey{invalidCycle, 0, 0, noStation, 0};
+    Key lastKey{invalidCycle, 0, 0, noStation, 0, 0};
     std::uint64_t numExecuted = 0;
     Cycle _windowFloor = 0;
     DeferSink *sink = nullptr;
-    obs::TraceBuf *trace = nullptr;
+    obs::TraceBuf *trace = nullptr; ///< one per domain
 };
 
 } // namespace tss

@@ -1,18 +1,18 @@
 /**
  * @file
- * Execution context of the windowed simulation engine. While a shard
- * of the sharded event queue drains a lookahead window, every event
- * runs with a thread-local ExecContext describing *which* event is
- * executing — (station, per-station sequence, cycle) — and carrying a
- * DeferSink. Operations that touch state outside the event's own NoC
- * domain (network sends, DMA transfers, registry retirement, global
- * gauges) are not applied in place: they are recorded into the sink
- * under a totally ordered SortKey and applied by the engine at the
- * window barrier in sorted order.
+ * Execution context of the windowed simulation engine. While the
+ * engine's event queue drains a lookahead window, every event runs
+ * with a thread-local ExecContext describing *which* event is
+ * executing — (station, domain, per-station sequence, cycle) — and
+ * carrying the engine's DeferSink. Operations that touch state
+ * outside the event's own NoC domain (network sends, DMA transfers)
+ * are not applied in place: they are recorded into the sink under a
+ * totally ordered DeferKey and applied by the engine at the window
+ * barrier in sorted order.
  *
  * Because the sort key is a pure function of simulated state — never
- * of the order in which shards drained — the apply order, and with it
- * every simulated statistic, is deterministic.
+ * of the order in which the window's domains interleaved — the apply
+ * order, and with it every simulated statistic, is deterministic.
  *
  * When no engine is driving (a bare EventQueue in a unit test, the
  * software-runtime model), the context's sink is null and every
@@ -23,7 +23,6 @@
 #define TSS_SIM_EXEC_CONTEXT_HH
 
 #include <cstdint>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -33,13 +32,11 @@
 namespace tss
 {
 
-class EventQueue;
-
 /**
  * Total order over deferred operations: (cycle, station, per-station
  * sequence, per-event operation index). Stations are globally unique
- * NoC node ids and a station lives on exactly one shard, so the key
- * is globally unique and engine-independent.
+ * NoC node ids and a station belongs to exactly one domain, so the
+ * key is globally unique and independent of how domains interleave.
  */
 struct DeferKey
 {
@@ -69,38 +66,26 @@ struct DeferKey
 };
 
 /**
- * Per-shard log of deferred operations. The shard's events append;
- * the engine's barrier drains every shard's log into one reused
- * buffer (drainInto), sorts the union and applies it. The log keeps
- * its capacity across windows.
+ * The engine's log of deferred operations. A window's events append;
+ * the barrier sorts the log in place, applies it and clears it. The
+ * log keeps its capacity, so a warm barrier never allocates.
  */
 class DeferSink
 {
   public:
+    using Op = std::pair<DeferKey, EventCallback>;
+
     void
     record(DeferKey key, EventCallback apply)
     {
         ops.emplace_back(key, std::move(apply));
     }
 
-    bool empty() const { return ops.empty(); }
-    std::size_t size() const { return ops.size(); }
-
-    /**
-     * Append the log to @p out (barrier side) and leave the sink
-     * empty. Both vectors keep their capacity, so a warm barrier
-     * moves deferred operations without touching the allocator.
-     */
-    void
-    drainInto(std::vector<std::pair<DeferKey, EventCallback>> &out)
-    {
-        out.insert(out.end(), std::make_move_iterator(ops.begin()),
-                   std::make_move_iterator(ops.end()));
-        ops.clear();
-    }
+    /** The recorded operations, for the barrier to sort and apply. */
+    std::vector<Op> &log() { return ops; }
 
   private:
-    std::vector<std::pair<DeferKey, EventCallback>> ops;
+    std::vector<Op> ops;
 };
 
 /**
@@ -112,8 +97,8 @@ class DeferSink
 struct ExecContext
 {
     DeferSink *sink = nullptr;
-    EventQueue *queue = nullptr;  ///< the draining shard
     std::int32_t station = -1;
+    unsigned domain = 0; ///< the station's NoC domain
     std::uint64_t seq = 0;
     Cycle when = 0;
     std::uint32_t opIndex = 0;

@@ -1,6 +1,7 @@
 #include "sim_engine.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "logging.hh"
 #include "obs/trace.hh"
@@ -12,8 +13,7 @@ namespace
 {
 
 bool
-keyLess(const std::pair<DeferKey, EventCallback> &a,
-        const std::pair<DeferKey, EventCallback> &b)
+keyLess(const DeferSink::Op &a, const DeferSink::Op &b)
 {
     return a.first < b.first;
 }
@@ -21,14 +21,10 @@ keyLess(const std::pair<DeferKey, EventCallback> &a,
 } // namespace
 
 SimEngine::SimEngine(unsigned num_domains)
+    : _numDomains(num_domains), fired((num_domains + 63) / 64, 0)
 {
     TSS_ASSERT(num_domains >= 1, "engine needs at least one domain");
-    shards.reserve(num_domains);
-    for (unsigned d = 0; d < num_domains; ++d) {
-        auto s = std::make_unique<Shard>();
-        s->queue.setDeferSink(&s->sink);
-        shards.push_back(std::move(s));
-    }
+    q.setDeferSink(&sink);
 }
 
 void
@@ -38,116 +34,80 @@ SimEngine::setLookahead(Cycle l)
     _lookahead = l;
 }
 
-Cycle
-SimEngine::now() const
-{
-    Cycle t = 0;
-    for (const auto &s : shards)
-        t = std::max(t, s->queue.now());
-    return t;
-}
-
-bool
-SimEngine::empty() const
-{
-    for (const auto &s : shards) {
-        if (!s->queue.empty())
-            return false;
-    }
-    return true;
-}
-
-std::uint64_t
-SimEngine::executed() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : shards)
-        n += s->queue.executed();
-    return n;
-}
-
 void
 SimEngine::setTracer(obs::Tracer *t)
 {
-    TSS_ASSERT(!t || t->numShards() == shards.size(),
-               "tracer shard-buffer count must match engine domains");
+    TSS_ASSERT(!t || t->numDomains() == _numDomains,
+               "tracer buffer count must match engine domains");
     tracer = t;
-    for (unsigned d = 0; d < shards.size(); ++d)
-        shards[d]->queue.setTraceBuf(t ? t->shardBuf(d) : nullptr);
+    q.setTraceBufs(t ? t->domainBuf(0) : nullptr);
 }
 
 std::size_t
 SimEngine::applyBarrier(Cycle window_end)
 {
-    // Each log is usually in key order already — one shard's events
-    // run in cycle order — so the sort is skipped when the union is.
-    for (auto &s : shards)
-        s->sink.drainInto(pending);
-    if (pending.empty())
+    // The log is usually in key order already — events fire in cycle
+    // order — so the sort is skipped when it is.
+    auto &ops = sink.log();
+    if (ops.empty())
         return 0;
-    if (!std::is_sorted(pending.begin(), pending.end(), keyLess))
-        std::sort(pending.begin(), pending.end(), keyLess);
-    for (std::size_t i = 1; i < pending.size(); ++i) {
-        TSS_ASSERT(!(pending[i - 1].first == pending[i].first),
+    if (!std::is_sorted(ops.begin(), ops.end(), keyLess))
+        std::sort(ops.begin(), ops.end(), keyLess);
+    for (std::size_t i = 1; i < ops.size(); ++i) {
+        TSS_ASSERT(!(ops[i - 1].first == ops[i].first),
                    "duplicate deferred-operation key (station %d seq "
                    "%llu at cycle %llu)",
-                   (int)pending[i].first.station,
-                   (unsigned long long)pending[i].first.seq,
-                   (unsigned long long)pending[i].first.when);
+                   (int)ops[i].first.station,
+                   (unsigned long long)ops[i].first.seq,
+                   (unsigned long long)ops[i].first.when);
     }
-    TSS_ASSERT(pending.back().first.when <= window_end,
+    TSS_ASSERT(ops.back().first.when <= window_end,
                "deferred operation recorded at cycle %llu, after the "
                "window end %llu",
-               (unsigned long long)pending.back().first.when,
+               (unsigned long long)ops.back().first.when,
                (unsigned long long)window_end);
 
     // Deliveries computed below the window end (only same-station
     // self-messages can be) are floored at it. See
     // EventQueue::setWindowFloor.
-    for (auto &s : shards)
-        s->queue.setWindowFloor(window_end + 1);
-    for (auto &op : pending)
+    q.setWindowFloor(window_end + 1);
+    for (auto &op : ops)
         op.second();
-    for (auto &s : shards)
-        s->queue.setWindowFloor(0);
+    q.setWindowFloor(0);
 
-    std::size_t applied = pending.size();
-    pending.clear();
+    std::size_t applied = ops.size();
+    ops.clear();
     return applied;
 }
 
 std::uint64_t
 SimEngine::run(std::uint64_t max_events)
 {
-    const std::uint64_t start = executed();
-    while (true) {
-        Cycle t0 = invalidCycle;
-        for (const auto &s : shards)
-            t0 = std::min(t0, s->queue.nextTime());
-        if (t0 == invalidCycle)
-            break;
-
-        // Drain every shard with events inside the window. No drain
-        // touches another shard: cross-domain effects wait in the
-        // sinks for the barrier.
+    TSS_ASSERT(q.numDomains() <= _numDomains,
+               "station tagged with domain %u of a %u-domain engine",
+               q.numDomains() - 1, _numDomains);
+    const std::uint64_t start = q.executed();
+    for (Cycle t0; (t0 = q.nextTime()) != invalidCycle;) {
+        // Drain the window. No event inserts into another domain:
+        // cross-domain effects wait in the sink for the barrier.
         const Cycle window_end = t0 + _lookahead - 1;
+        q.runUntil(window_end, fired.data());
+
         unsigned active = 0;
-        for (auto &s : shards) {
-            if (s->queue.nextTime() <= window_end) {
-                ++active;
-                s->queue.runUntil(window_end);
-            }
+        for (std::uint64_t &word : fired) {
+            active += static_cast<unsigned>(std::popcount(word));
+            word = 0;
         }
         ++wstats.windows;
         wstats.occupancySum += active;
         wstats.maxOccupancy =
             std::max<std::uint64_t>(wstats.maxOccupancy, active);
         if (active == 1) {
-            ++wstats.singleShard;
+            ++wstats.singleDomain;
             if (lastWindowSingle)
                 ++wstats.fusedWindows;
         } else {
-            ++wstats.multiShard;
+            ++wstats.multiDomain;
         }
         lastWindowSingle = active == 1;
 
@@ -165,10 +125,10 @@ SimEngine::run(std::uint64_t max_events)
             tracer->drainWindow();
         }
 
-        if (executed() - start >= max_events)
+        if (q.executed() - start >= max_events)
             break; // deterministic overshoot: checked at barriers only
     }
-    return executed() - start;
+    return q.executed() - start;
 }
 
 } // namespace tss

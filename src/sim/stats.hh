@@ -8,7 +8,6 @@
 #define TSS_SIM_STATS_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -19,9 +18,8 @@ namespace tss
 {
 
 /**
- * A simple monotonically updated scalar statistic. Updates are
- * relaxed atomics: increments commute, so the final value does not
- * depend on which host thread bumped the counter first.
+ * A simple monotonically updated scalar statistic. A System's stats
+ * are touched by one host thread at a time (its engine's loop).
  */
 class Counter
 {
@@ -29,43 +27,23 @@ class Counter
     Counter &
     operator++()
     {
-        _value.fetch_add(1, std::memory_order_relaxed);
+        ++_value;
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        _value.fetch_add(n, std::memory_order_relaxed);
+        _value += n;
         return *this;
     }
 
-    std::uint64_t
-    value() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
+    std::uint64_t value() const { return _value; }
 
-    void reset() { _value.store(0, std::memory_order_relaxed); }
+    void reset() { _value = 0; }
 
   private:
-    std::atomic<std::uint64_t> _value{0};
-};
-
-/** A tiny test-and-set spinlock (uncontended in practice). */
-class SpinLock
-{
-  public:
-    void
-    lock()
-    {
-        while (flag.test_and_set(std::memory_order_acquire)) {}
-    }
-
-    void unlock() { flag.clear(std::memory_order_release); }
-
-  private:
-    std::atomic_flag flag = ATOMIC_FLAG_INIT;
+    std::uint64_t _value = 0;
 };
 
 /**
@@ -73,12 +51,10 @@ class SpinLock
  * are available. Sample counts in this simulator are bounded by the
  * number of tasks/messages, which keeps full retention cheap.
  *
- * sample() is thread-safe and every query is computed over the
- * *sorted* samples — including sum(), so floating-point accumulation
- * order is independent of the insertion order and the reported
- * statistics are bit-identical however samples arrived. Queries
- * themselves are not safe against a concurrent sample(); they run
- * after the simulation (or at a window barrier).
+ * Every query is computed over the *sorted* samples — including
+ * sum(), so floating-point accumulation order is independent of the
+ * insertion order and the reported statistics are bit-identical
+ * however the domains of a window interleaved their samples.
  */
 class Distribution
 {
@@ -86,10 +62,8 @@ class Distribution
     void
     sample(double v)
     {
-        lock.lock();
         samples.push_back(v);
         sorted = false;
-        lock.unlock();
     }
 
     std::size_t count() const { return samples.size(); }
@@ -160,7 +134,6 @@ class Distribution
     std::vector<double> samples;
     mutable std::vector<double> sortedSamples;
     mutable bool sorted = false;
-    mutable SpinLock lock;
 };
 
 /**

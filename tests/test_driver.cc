@@ -104,12 +104,16 @@ TEST(CliArgs, BoundedFlagAbsentOrValid)
 
 TEST(CliArgsDeathTest, BoundedFlagOutOfRangeExits)
 {
-    const char *argv[] = {"prog", "--execute-workers=-1", "--queue=0"};
-    CliArgs args(3, const_cast<char **>(argv));
+    const char *argv[] = {"prog", "--execute-workers=-1", "--queue=0",
+                          "--jobs=-3"};
+    CliArgs args(4, const_cast<char **>(argv));
     EXPECT_EXIT((void)args.getBounded("execute-workers", 1, 256),
                 ::testing::ExitedWithCode(1), "execute-workers");
     EXPECT_EXIT((void)args.getBounded("queue", 1, UINT32_MAX),
                 ::testing::ExitedWithCode(1), "queue");
+    // The bounds fig19_serve_load and tss-loadgen give --jobs.
+    EXPECT_EXIT((void)args.getBounded("jobs", 1, 1000000),
+                ::testing::ExitedWithCode(1), "jobs");
 }
 
 TEST(Experiment, PaperConfigMatchesSectionSix)

@@ -4,7 +4,8 @@
  * backpressure under saturating load, graceful drain completing every
  * admitted job (the ctest TIMEOUT is the watchdog — a drain that
  * hangs fails the suite), the framed socket protocol end-to-end,
- * wedged-job survival with a liveness diagnosis in the report, the
+ * wedged-job survival with a liveness diagnosis in the report,
+ * parse-stage rejection of jobs that once killed the daemon, the
  * job-trace round trip under --job-traces, and the Session lifecycle
  * contract.
  */
@@ -248,6 +249,59 @@ TEST(Serve, OverWideSubmissionsRejectedNotFatal)
     ServiceReport report = service.report();
     EXPECT_EQ(tenantOf(report, tenant).completed, 1u);
     EXPECT_EQ(tenantOf(report, tenant).rejectedParse, 3u);
+}
+
+/** Submit @p bad and expect ParseError; the tenant then completes
+ *  a normal job. */
+void
+expectRejectedThenServes(const std::string &bad_text,
+                         const TaskTrace &bad_trace)
+{
+    TraceService service(tinyServeConfig());
+    TenantId tenant = service.openTenant("hostile");
+    ASSERT_EQ(service.submitText(tenant, bad_text).status,
+              SubmitStatus::Accepted);
+    ASSERT_EQ(service.submit(tenant, bad_trace).status,
+              SubmitStatus::Accepted);
+    service.waitIdle();
+    EXPECT_EQ(tenantOf(service.report(), tenant).rejectedParse, 2u);
+
+    ASSERT_EQ(service.submit(tenant, chainProgram(10, 0x5000'0000))
+                  .status,
+              SubmitStatus::Accepted);
+    service.waitIdle();
+    ServiceReport report = service.report();
+    EXPECT_EQ(tenantOf(report, tenant).completed, 1u);
+    EXPECT_EQ(tenantOf(report, tenant).rejectedParse, 2u);
+}
+
+TEST(Serve, RuntimePastBoundRejectedNotFatal)
+{
+    // 2^64-1 cycles, and "-5", which the stream wraps to 2^64-5: both
+    // once overflowed curCycle() + runtime and killed the daemon.
+    TaskTrace huge = chainProgram(2, 0x5000'0000);
+    huge.tasks[1].runtime = ~Cycle(0);
+    expectRejectedThenServes("trace x\nkernel 0 k\ntask 0 -5 0\n", huge);
+
+    TaskTrace edge = chainProgram(2, 0x5000'0000);
+    edge.tasks[0].runtime = maxTaskRuntime + 1;
+    EXPECT_FALSE(validateTrace(edge));
+    edge.tasks[0].runtime = maxTaskRuntime;
+    EXPECT_TRUE(validateTrace(edge));
+}
+
+TEST(Serve, WrappingOperandRejectedNotFatal)
+{
+    // addr + bytes past 2^64 once made the relocator fatal().
+    TaskTrace wrap = chainProgram(2, 0x5000'0000);
+    wrap.tasks[0].operands[0].addr = 0xffff'ffff'ffff'ffc0;
+    wrap.tasks[0].operands[0].bytes = 128;
+    expectRejectedThenServes(formatTraceText(wrap), wrap);
+
+    wrap.tasks[0].operands[0].bytes = 0x40; // ends exactly at 2^64
+    EXPECT_FALSE(validateTrace(wrap));
+    wrap.tasks[0].operands[0].bytes = 0x3f;
+    EXPECT_TRUE(validateTrace(wrap));
 }
 
 TEST(Serve, CarveOverflowRejected)

@@ -2,18 +2,22 @@
  * @file
  * The windowed engine (sim/sim_engine.hh): cross-domain delivery
  * timing at the lookahead boundary and one cycle to either side, the
- * conservative floor on below-window deliveries, golden System
- * results and window counters over topology/placement/batching
- * configs, independence of concurrently simulating Systems, and
- * allocation-free warm barriers.
+ * conservative floor on below-window deliveries, the one tagged queue
+ * against a per-domain reference drain, the in-window cross-domain
+ * schedule check, golden System results and window counters over
+ * topology/placement/batching configs, independence of concurrently
+ * simulating Systems, and allocation-free warm barriers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -116,15 +120,15 @@ deliverOnce(Cycle inject, Bytes bytes)
 {
     constexpr Cycle latency = 4;
     SimEngine engine(2);
-    SimpleNetwork net("net", engine.shard(0), latency);
+    EventQueue &q = engine.queue();
+    SimpleNetwork net("net", q, latency);
     engine.setLookahead(net.minDeliveryDelay());
 
-    Recorder sink(engine.shard(1));
+    Recorder sink(q);
     net.attach(1, sink);
-    net.bindQueue(0, engine.shard(0));
-    net.bindQueue(1, engine.shard(1));
+    q.setDomain(1, 1);
 
-    engine.shard(0).scheduleStation(inject, 0, [&net, bytes] {
+    q.scheduleStation(inject, 0, [&net, bytes] {
         net.send(std::make_unique<Message>(0, 1, bytes));
     });
     engine.run();
@@ -181,19 +185,16 @@ TEST(SimEngine, CrossDomainPingPongMatchesOneQueue)
         }
     };
     constexpr Cycle latency = 3;
-    auto play = [](EventQueue &qa, EventQueue &qb, Network &net,
+    auto play = [](EventQueue &q, Network &net,
                    const std::function<void()> &run) {
         Bouncer a, b;
         a.net = b.net = &net;
         a.self = 0;
         b.self = 1;
-        a.eq = &qa;
-        b.eq = &qb;
+        a.eq = b.eq = &q;
         net.attach(0, a);
         net.attach(1, b);
-        net.bindQueue(0, qa);
-        net.bindQueue(1, qb);
-        qa.scheduleStation(1, 0, [&net] {
+        q.scheduleStation(1, 0, [&net] {
             net.send(std::make_unique<Message>(0, 1, 16));
         });
         run();
@@ -203,20 +204,304 @@ TEST(SimEngine, CrossDomainPingPongMatchesOneQueue)
     };
 
     SimEngine engine(2);
-    SimpleNetwork net("net", engine.shard(0), latency);
+    engine.queue().setDomain(1, 1);
+    SimpleNetwork net("net", engine.queue(), latency);
     engine.setLookahead(net.minDeliveryDelay());
-    auto windowed = play(engine.shard(0), engine.shard(1), net,
-                         [&engine] { engine.run(); });
+    auto windowed =
+        play(engine.queue(), net, [&engine] { engine.run(); });
 
     EventQueue queue;
     SimpleNetwork plain_net("net", queue, latency);
-    auto plain =
-        play(queue, queue, plain_net, [&queue] { queue.run(); });
+    auto plain = play(queue, plain_net, [&queue] { queue.run(); });
 
     EXPECT_EQ(windowed, plain);
     EXPECT_EQ(engine.now(), queue.now());
     EXPECT_EQ(engine.executed(), queue.executed());
     EXPECT_GT(windowed.size(), 16u);
+}
+
+/**
+ * A random multi-domain program for the merged-engine differential.
+ * Station s is in domain s % domains and draws from its own Rng: a
+ * station's events fire in the same order under any correct driver,
+ * so its draws match. An event logs itself, schedules children onto
+ * stations of its own domain (mixed priorities, delays from 0 to past
+ * the calendar span) and defers deliveries to any station, some due
+ * below the window end so the barrier floor lifts them.
+ */
+class DomainProgram
+{
+  public:
+    /** One barrier-applied delivery, in apply order. */
+    struct Applied
+    {
+        DeferKey key;
+        std::int32_t target;
+        Cycle at;
+
+        bool operator==(const Applied &) const = default;
+    };
+
+    DomainProgram(std::uint64_t seed, unsigned domains,
+                  unsigned per_domain, Cycle lookahead)
+        : fires(domains * per_domain), domains(domains),
+          perDomain(per_domain), lookahead(lookahead),
+          budget(domains * per_domain, 300),
+          nextTag(domains * per_domain, 0)
+    {
+        for (unsigned s = 0; s < domains * per_domain; ++s)
+            rngs.emplace_back(seed * 1000 + s);
+    }
+
+    unsigned numStations() const { return domains * perDomain; }
+    unsigned domainOf(std::int32_t s) const { return s % domains; }
+
+    /** The queue a station's events go on (set by the driver). */
+    std::function<EventQueue &(std::int32_t)> queueOf;
+
+    /** Seed every station with one event in the first cycles. */
+    void
+    start()
+    {
+        for (std::int32_t s = 0; s < std::int32_t(numStations()); ++s)
+            schedule(queueOf(s), rngs[s].range(30), s, 0, tagOf(s));
+    }
+
+    /// Per station: (cycle, tag) of every fired event, in order.
+    std::vector<std::vector<std::pair<Cycle, std::uint64_t>>> fires;
+    std::vector<Applied> applied;
+    std::uint64_t floored = 0; ///< deliveries lifted to the window end
+
+  private:
+    std::uint64_t
+    tagOf(std::int32_t origin)
+    {
+        return (std::uint64_t(origin) << 32) | nextTag[origin]++;
+    }
+
+    void
+    schedule(EventQueue &q, Cycle when, std::int32_t target, int prio,
+             std::uint64_t tag)
+    {
+        q.scheduleStation(when, target,
+                          [this, target, tag] { fire(target, tag); },
+                          prio);
+    }
+
+    Cycle
+    childDelay(Rng &rng)
+    {
+        std::uint64_t kind = rng.range(10);
+        if (kind < 2)
+            return 0;
+        if (kind < 7)
+            return rng.range(2 * lookahead);
+        if (kind < 9)
+            return rng.range(EventQueue::ringBuckets * 2);
+        return EventQueue::ringBuckets + rng.range(300);
+    }
+
+    void
+    fire(std::int32_t s, std::uint64_t tag)
+    {
+        EventQueue &q = queueOf(s);
+        fires[s].emplace_back(q.now(), tag);
+        if (budget[s] == 0)
+            return;
+        --budget[s];
+        Rng &rng = rngs[s];
+        for (std::uint64_t k = rng.range(3); k > 0; --k) {
+            auto target = static_cast<std::int32_t>(
+                domainOf(s) + domains * rng.range(perDomain));
+            Cycle when = q.now() + childDelay(rng);
+            auto prio = static_cast<int>(rng.rangeInclusive(-1, 1));
+            schedule(q, when, target, prio, tagOf(s));
+        }
+        if (rng.chance(0.5)) {
+            auto target = static_cast<std::int32_t>(
+                rng.range(numStations()));
+            Cycle due = execCtx.when + rng.range(2 * lookahead + 1);
+            DeferKey key = execCtx.nextKey();
+            execCtx.sink->record(
+                key, [this, key, target, due, t = tagOf(s)] {
+                    EventQueue &tq = queueOf(target);
+                    Cycle at = std::max(due, tq.windowFloor());
+                    floored += at != due;
+                    applied.push_back({key, target, at});
+                    schedule(tq, at, target, 0, t);
+                });
+        }
+    }
+
+    unsigned domains;
+    unsigned perDomain;
+    Cycle lookahead;
+    std::vector<Rng> rngs;
+    std::vector<unsigned> budget;
+    std::vector<std::uint64_t> nextTag;
+};
+
+/**
+ * The reference driver: one bare EventQueue and DeferSink per
+ * domain, each window drained domain by domain, the logs' union
+ * sorted and applied at the barrier — the engine as it was before
+ * its domains shared one queue.
+ */
+class ShardedDrain
+{
+  public:
+    explicit ShardedDrain(unsigned domains)
+    {
+        for (unsigned d = 0; d < domains; ++d) {
+            queues.push_back(std::make_unique<EventQueue>());
+            sinks.push_back(std::make_unique<DeferSink>());
+            queues.back()->setDeferSink(sinks.back().get());
+        }
+    }
+
+    EventQueue &queue(unsigned d) { return *queues[d]; }
+
+    void
+    run(Cycle lookahead)
+    {
+        while (true) {
+            Cycle t0 = invalidCycle;
+            for (const auto &q : queues)
+                t0 = std::min(t0, q->nextTime());
+            if (t0 == invalidCycle)
+                return;
+            const Cycle window_end = t0 + lookahead - 1;
+            unsigned active = 0;
+            for (const auto &q : queues) {
+                if (q->nextTime() <= window_end) {
+                    ++active;
+                    q->runUntil(window_end);
+                }
+            }
+            ++stats.windows;
+            stats.occupancySum += active;
+            stats.maxOccupancy =
+                std::max<std::uint64_t>(stats.maxOccupancy, active);
+            if (active == 1) {
+                ++stats.singleDomain;
+                if (lastSingle)
+                    ++stats.fusedWindows;
+            } else {
+                ++stats.multiDomain;
+            }
+            lastSingle = active == 1;
+
+            std::vector<DeferSink::Op> ops;
+            for (const auto &sink : sinks) {
+                for (auto &op : sink->log())
+                    ops.push_back(std::move(op));
+                sink->log().clear();
+            }
+            std::sort(ops.begin(), ops.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
+            for (const auto &q : queues)
+                q->setWindowFloor(window_end + 1);
+            for (auto &op : ops)
+                op.second();
+            for (const auto &q : queues)
+                q->setWindowFloor(0);
+        }
+    }
+
+    Cycle
+    now() const
+    {
+        Cycle t = 0;
+        for (const auto &q : queues)
+            t = std::max(t, q->now());
+        return t;
+    }
+
+    std::uint64_t
+    executed() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &q : queues)
+            n += q->executed();
+        return n;
+    }
+
+    SimEngine::WindowStats stats;
+
+  private:
+    std::vector<std::unique_ptr<EventQueue>> queues;
+    std::vector<std::unique_ptr<DeferSink>> sinks;
+    bool lastSingle = false;
+};
+
+TEST(SimEngine, MergedQueueMatchesShardedDrain)
+{
+    // The one tagged queue must reproduce the domain-by-domain drain
+    // exactly: per-station fire sequences, barrier apply order,
+    // window counters, event count and final time.
+    constexpr Cycle lookahead = 4;
+    std::uint64_t fused = 0;
+    for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        const unsigned domains = 2 + seed % 4;
+        const unsigned per_domain = 1 + seed % 3;
+
+        DomainProgram merged(seed, domains, per_domain, lookahead);
+        SimEngine engine(domains);
+        for (std::int32_t s = 0; s < std::int32_t(merged.numStations());
+             ++s)
+            engine.queue().setDomain(s, merged.domainOf(s));
+        merged.queueOf = [&engine](std::int32_t) -> EventQueue & {
+            return engine.queue();
+        };
+        engine.setLookahead(lookahead);
+        merged.start();
+        engine.run();
+
+        DomainProgram sharded(seed, domains, per_domain, lookahead);
+        ShardedDrain ref(domains);
+        sharded.queueOf = [&ref, &sharded](std::int32_t s)
+            -> EventQueue & { return ref.queue(sharded.domainOf(s)); };
+        sharded.start();
+        ref.run(lookahead);
+
+        const std::string what = "seed " + std::to_string(seed);
+        EXPECT_EQ(merged.fires, sharded.fires) << what;
+        EXPECT_EQ(merged.applied, sharded.applied) << what;
+        const SimEngine::WindowStats &w = engine.windowStats();
+        EXPECT_EQ(w.windows, ref.stats.windows) << what;
+        EXPECT_EQ(w.singleDomain, ref.stats.singleDomain) << what;
+        EXPECT_EQ(w.fusedWindows, ref.stats.fusedWindows) << what;
+        EXPECT_EQ(w.multiDomain, ref.stats.multiDomain) << what;
+        EXPECT_EQ(w.occupancySum, ref.stats.occupancySum) << what;
+        EXPECT_EQ(w.maxOccupancy, ref.stats.maxOccupancy) << what;
+        EXPECT_EQ(engine.executed(), ref.executed()) << what;
+        EXPECT_EQ(engine.now(), ref.now()) << what;
+
+        // The program reached what it is meant to exercise.
+        EXPECT_GT(engine.executed(), 1000u) << what;
+        EXPECT_GT(merged.applied.size(), 100u) << what;
+        EXPECT_GT(merged.floored, 0u) << what;
+        EXPECT_GT(w.multiDomain, 0u) << what;
+        fused += w.fusedWindows;
+    }
+    EXPECT_GT(fused, 0u);
+}
+
+TEST(SimEngineDeathTest, CrossDomainScheduleInsideWindowDies)
+{
+    // Only the barrier may touch another domain: a direct schedule
+    // from a draining event onto another domain's station must trip
+    // the engine's check, as must an engine-driven station-less one.
+    SimEngine engine(2);
+    EventQueue &q = engine.queue();
+    q.setDomain(1, 1);
+    q.scheduleStation(1, 0, [&q] { q.scheduleStation(9, 1, [] {}); });
+    EXPECT_DEATH(engine.run(), "scheduled onto station 1 \\(domain 1\\)");
+
+    SimEngine other(1);
+    EXPECT_DEATH(other.queue().schedule(1, [] {}), "without a station");
 }
 
 /** Golden decision of one full System run. */
@@ -346,16 +631,16 @@ TEST(SimEngine, GoldenWindowCounters)
     sys->run();
     const SimEngine::WindowStats &w = sys->simEngine().windowStats();
 
-    // Every window has at least one active shard.
-    EXPECT_EQ(w.windows, w.singleShard + w.multiShard);
-    EXPECT_GE(w.singleShard, w.fusedWindows);
-    EXPECT_GE(w.occupancySum, w.singleShard + 2 * w.multiShard);
+    // Every window has at least one active domain.
+    EXPECT_EQ(w.windows, w.singleDomain + w.multiDomain);
+    EXPECT_GE(w.singleDomain, w.fusedWindows);
+    EXPECT_GE(w.occupancySum, w.singleDomain + 2 * w.multiDomain);
 
     // Pinned goldens (ring/adjacent, 2 pipelines, 32 cores, seed 1).
     EXPECT_EQ(w.windows, 3148u);
-    EXPECT_EQ(w.singleShard, 2883u);
+    EXPECT_EQ(w.singleDomain, 2883u);
     EXPECT_EQ(w.fusedWindows, 2653u);
-    EXPECT_EQ(w.multiShard, 265u);
+    EXPECT_EQ(w.multiDomain, 265u);
     EXPECT_EQ(w.occupancySum, 3415u);
     EXPECT_EQ(w.maxOccupancy, 3u); // 2 pipelines + backend
 }
@@ -422,13 +707,14 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
 TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
 {
     // Two stations in two domains keep eight messages each bouncing
-    // forever, so most windows have both shards active and every
+    // forever, so most windows have both domains active and every
     // window defers sends to its barrier. Once the queues, message
     // pools, defer logs and the barrier buffer are warm, windows must
     // run without a single heap allocation.
     constexpr Cycle latency = 3;
     SimEngine engine(2);
-    SimpleNetwork net("net", engine.shard(0), latency);
+    EventQueue &q = engine.queue();
+    SimpleNetwork net("net", q, latency);
     engine.setLookahead(net.minDeliveryDelay());
 
     struct Echo : Endpoint
@@ -449,20 +735,19 @@ TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
     b.self = 1;
     net.attach(0, a);
     net.attach(1, b);
-    net.bindQueue(0, engine.shard(0));
-    net.bindQueue(1, engine.shard(1));
+    q.setDomain(1, 1);
     for (Cycle t = 1; t <= 8; ++t) {
-        engine.shard(0).scheduleStation(t, 0, [&net] {
+        q.scheduleStation(t, 0, [&net] {
             net.send(std::make_unique<Message>(0, 1, 16));
         });
-        engine.shard(1).scheduleStation(t, 1, [&net] {
+        q.scheduleStation(t, 1, [&net] {
             net.send(std::make_unique<Message>(1, 0, 16));
         });
     }
 
     engine.run(20000); // warm-up
     const auto windows = engine.windowStats().windows;
-    const auto multi = engine.windowStats().multiShard;
+    const auto multi = engine.windowStats().multiDomain;
     const auto events = engine.executed();
 
     std::uint64_t before = globalNews.load();
@@ -472,7 +757,7 @@ TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
     EXPECT_EQ(news, 0u) << "heap allocations in warm windows";
     EXPECT_GE(engine.executed() - events, 50000u);
     EXPECT_GT(engine.windowStats().windows - windows, 1000u);
-    EXPECT_GT(engine.windowStats().multiShard - multi, 1000u);
+    EXPECT_GT(engine.windowStats().multiDomain - multi, 1000u);
 }
 
 } // namespace

@@ -11,6 +11,8 @@
  *
  * Usage: tss-loadgen --socket=PATH [--tenants=N] [--jobs=N]
  *        [--shutdown]
+ * (tenants 1-64, one connection and driver thread each; jobs
+ * 1-1000000)
  */
 
 #include <csignal>
@@ -58,9 +60,10 @@ main(int argc, char **argv)
     tss::CliArgs args(argc, argv);
     std::string socket_path =
         args.get("socket", "/tmp/tss-serve.sock");
-    auto tenants =
-        static_cast<unsigned>(args.getLong("tenants", 2));
-    auto jobs = static_cast<unsigned>(args.getLong("jobs", 5));
+    auto tenants = static_cast<unsigned>(
+        args.getBounded("tenants", 1, 64).value_or(2));
+    auto jobs = static_cast<unsigned>(
+        args.getBounded("jobs", 1, 1000000).value_or(5));
 
     std::vector<std::unique_ptr<tss::serve::ServeClient>> clients;
     std::vector<std::uint64_t> carve_ends;
