@@ -27,6 +27,9 @@ namespace tss
 class BucketAllocator
 {
   public:
+    /** Largest bucket of the default size range: 1 MiB. */
+    static constexpr Bytes largestBucket = Bytes(1) << 20;
+
     /**
      * @param region_base Synthetic base address of the OS region.
      * @param region_bytes Region capacity.
@@ -35,7 +38,7 @@ class BucketAllocator
      * @param chunk_bytes Bytes grabbed from the region per refill.
      */
     BucketAllocator(std::uint64_t region_base, Bytes region_bytes,
-                    Bytes min_size = 256, Bytes max_size = 1u << 20,
+                    Bytes min_size = 256, Bytes max_size = largestBucket,
                     Bytes chunk_bytes = 64 * 1024);
 
     /** Result of a timed allocation. */

@@ -1,7 +1,14 @@
 /**
  * @file
- * Abstract network interface plus a simple fixed-latency
- * implementation used by unit tests and fast functional runs.
+ * The Network interface every module sends through: deferred
+ * injection under the windowed engine, and the per-pair FIFO
+ * delivery clamp every implementation shares (deliverAt). Two
+ * implementations exist: TopologyNetwork (noc/topology.hh), the one
+ * modeled fabric — ring, mesh or fixed latency over one link table
+ * with memoised routes — and SimpleNetwork below, a station-free
+ * fixed latency kept for protocol unit tests (a 0-byte message
+ * arrives one cycle inside its minDeliveryDelay, which exercises the
+ * window floor).
  */
 
 #ifndef TSS_NOC_NETWORK_HH

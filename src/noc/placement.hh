@@ -53,7 +53,7 @@ struct PlacementMap
  * Place @p hubs + @p tiles + @p l2 + @p mc stations on
  * `hubs + tiles + l2 + mc` global stops under @p kind. @p seed only
  * affects PlacementKind::Random. The Adjacent map reproduces the
- * pre-placement RingNetwork layout exactly (golden-stat compatible).
+ * historical ring layout exactly (golden-stat compatible).
  */
 PlacementMap makePlacement(PlacementKind kind, unsigned hubs,
                            unsigned tiles, unsigned l2, unsigned mc,

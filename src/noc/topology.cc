@@ -1,12 +1,34 @@
 #include "topology.hh"
 
 #include <algorithm>
-
-#include "noc/mesh.hh"
-#include "noc/ring.hh"
+#include <cmath>
+#include <cstdint>
 
 namespace tss
 {
+
+namespace
+{
+
+/**
+ * Shortest distance and direction around a ring of @p n stops (ties
+ * break clockwise). The one direction rule of the local-ring legs and
+ * the global ring.
+ */
+unsigned
+ringDistance(unsigned from, unsigned to, unsigned n, bool &clockwise)
+{
+    unsigned fwd = (to + n - from) % n;
+    unsigned bwd = n - fwd;
+    if (fwd == 0) {
+        clockwise = true;
+        return 0;
+    }
+    clockwise = fwd <= bwd;
+    return clockwise ? fwd : bwd;
+}
+
+} // namespace
 
 const char *
 toString(TopologyKind kind)
@@ -31,44 +53,49 @@ topologyFromString(const std::string &name)
     fatal("unknown topology '%s' (fixed|ring|mesh)", name.c_str());
 }
 
-unsigned
-TopologyNetwork::ringDistance(unsigned from, unsigned to, unsigned n,
-                              bool &clockwise)
-{
-    unsigned fwd = (to + n - from) % n;
-    unsigned bwd = n - fwd;
-    if (fwd == 0) {
-        clockwise = true;
-        return 0;
-    }
-    clockwise = fwd <= bwd;
-    return clockwise ? fwd : bwd;
-}
-
 TopologyNetwork::TopologyNetwork(std::string name, EventQueue &eq,
+                                 TopologyKind topology_kind,
                                  NocParams params)
-    : Network(std::move(name), eq), _params(params)
+    : Network(std::move(name), eq), kind(topology_kind), _params(params)
 {
     TSS_ASSERT(_params.coresPerRing > 0, "coresPerRing must be > 0");
-    numRings = (_params.numCores + _params.coresPerRing - 1) /
-        _params.coresPerRing;
-
-    place = makePlacement(_params.placement, numRings,
-                          _params.numFrontendTiles, _params.numL2Banks,
-                          _params.numMemCtrls, _params.placementSeed);
-
     TSS_ASSERT(_params.lanesPerSegment >= 1 &&
                    _params.lanesPerSegment <= Link::maxLanes,
                "lanesPerSegment must be in [1, %u]", Link::maxLanes);
-    localSegments.resize(numRings);
-    for (auto &segments : localSegments)
-        segments.assign(_params.coresPerRing + 1, makeLink());
-
-    unsigned nodes = _params.numCores + _params.numFrontendTiles +
+    unsigned rings = (_params.numCores + _params.coresPerRing - 1) /
+        _params.coresPerRing;
+    numNodes = _params.numCores + _params.numFrontendTiles +
         _params.numL2Banks + _params.numMemCtrls;
-    locations.reserve(nodes);
-    for (unsigned n = 0; n < nodes; ++n)
-        locations.push_back(computeLocation(n));
+
+    place = makePlacement(_params.placement, rings,
+                          _params.numFrontendTiles, _params.numL2Banks,
+                          _params.numMemCtrls, _params.placementSeed);
+
+    // Per processor ring: coresPerRing + 1 segments, then the global
+    // fabric's links.
+    globalBase = rings * (_params.coresPerRing + 1);
+    unsigned global_links = 0;
+    switch (kind) {
+      case TopologyKind::Fixed:
+        break;
+      case TopologyKind::Ring:
+        global_links = place.globalStops;
+        break;
+      case TopologyKind::Mesh: {
+        unsigned stops = std::max(1u, place.globalStops);
+        meshWidth = static_cast<unsigned>(
+            std::ceil(std::sqrt(static_cast<double>(stops))));
+        unsigned height = (stops + meshWidth - 1) / meshWidth;
+        // Edge (x,y)-(x+1,y) is horizontal link y * (width-1) + x;
+        // edge (x,y)-(x,y+1) is vertical link y * width + x.
+        verticalBase = globalBase + (meshWidth - 1) * height;
+        global_links = (meshWidth - 1) * height + meshWidth * (height - 1);
+        break;
+      }
+    }
+    links.resize(std::size_t(globalBase) + global_links);
+    TSS_ASSERT(links.size() <= UINT16_MAX,
+               "%zu links overflow the 16-bit route table", links.size());
 
     // Protocol messages are at most a few hundred bytes (a submit
     // packet of 32 B + 16 B per operand, batched decode descriptors).
@@ -76,14 +103,6 @@ TopologyNetwork::TopologyNetwork(std::string name, EventQueue &eq,
     serTable.resize(serTableBytes);
     for (Bytes b = 0; b < serTableBytes; ++b)
         serTable[b] = serializationFormula(b);
-}
-
-TopologyNetwork::Link
-TopologyNetwork::makeLink() const
-{
-    Link link;
-    link.lanes = _params.lanesPerSegment;
-    return link;
 }
 
 NodeId
@@ -118,40 +137,12 @@ TopologyNetwork::memCtrlNode(unsigned mc) const
                                _params.numL2Banks + mc);
 }
 
-TopologyNetwork::Location
-TopologyNetwork::locate(NodeId node) const
-{
-    auto index = static_cast<std::size_t>(node);
-    TSS_ASSERT(index < locations.size(), "node %d out of range", node);
-    return locations[index];
-}
-
-TopologyNetwork::Location
-TopologyNetwork::computeLocation(unsigned n) const
-{
-    if (n < _params.numCores) {
-        unsigned ring = n / _params.coresPerRing;
-        unsigned stop = n % _params.coresPerRing;
-        return Location{static_cast<int>(ring), stop,
-                        place.hubStop[ring]};
-    }
-    n -= _params.numCores;
-    if (n < _params.numFrontendTiles) {
-        return Location{-1, place.frontendStop[n],
-                        place.frontendStop[n]};
-    }
-    n -= _params.numFrontendTiles;
-    if (n < _params.numL2Banks)
-        return Location{-1, place.l2Stop[n], place.l2Stop[n]};
-    n -= _params.numL2Banks;
-    return Location{-1, place.mcStop[n], place.mcStop[n]};
-}
-
 Cycle
 TopologyNetwork::reserveLane(Link &link, Cycle t, Cycle ser)
 {
     auto best = std::min_element(link.laneFree.begin(),
-                                 link.laneFree.begin() + link.lanes);
+                                 link.laneFree.begin() +
+                                     _params.lanesPerSegment);
     Cycle begin = std::max(t, *best);
     *best = begin + ser;
     ++link.traversals;
@@ -162,28 +153,92 @@ TopologyNetwork::reserveLane(Link &link, Cycle t, Cycle ser)
     return begin;
 }
 
-Cycle
-TopologyNetwork::traverseLocalRing(unsigned ring, unsigned from,
-                                   unsigned to, Cycle start, Cycle ser)
+std::span<const std::uint16_t>
+TopologyNetwork::path(NodeId src, NodeId dst)
 {
-    auto &segments = localSegments[ring];
-    auto stops = static_cast<unsigned>(segments.size());
-    bool clockwise = true;
-    unsigned dist = ringDistance(from, to, stops, clockwise);
-
-    return walkRing(segments.data(), stops, from, dist, clockwise,
-                    start, ser);
+    auto s = static_cast<unsigned>(src);
+    auto d = static_cast<unsigned>(dst);
+    TSS_ASSERT(s < numNodes && d < numNodes, "route %d -> %d out of range",
+               src, dst);
+    if (pathAt.empty()) {
+        pathAt.assign(std::size_t(numNodes) * numNodes, 0);
+        arena.assign(1, 0);
+    }
+    std::uint32_t &at = pathAt[std::size_t(s) * numNodes + d];
+    if (at == 0)
+        at = buildPath(s, d);
+    return {arena.data() + at + 1, arena[at]};
 }
 
-Cycle
-TopologyNetwork::walkRing(Link *segments, unsigned stops, unsigned from,
-                          unsigned dist, bool clockwise, Cycle start,
-                          Cycle ser)
+std::uint32_t
+TopologyNetwork::buildPath(unsigned src, unsigned dst)
 {
-    // Segment i joins stop i to stop i + 1: a clockwise hop leaving
-    // `stop` crosses segment `stop`, a counter-clockwise one crosses
-    // the segment behind it.
-    Cycle t = start;
+    // Where a node sits: its processor ring (-1 for a station on the
+    // global fabric), its stop on that ring, and its global stop (its
+    // ring's hub, for a core).
+    struct Stop
+    {
+        int ring;
+        unsigned stop;
+        unsigned globalStop;
+    };
+    auto locate = [this](unsigned n) -> Stop {
+        if (n < _params.numCores) {
+            unsigned ring = n / _params.coresPerRing;
+            return {static_cast<int>(ring), n % _params.coresPerRing,
+                    place.hubStop[ring]};
+        }
+        n -= _params.numCores;
+        unsigned g;
+        if (n < _params.numFrontendTiles) {
+            g = place.frontendStop[n];
+        } else if ((n -= _params.numFrontendTiles) < _params.numL2Banks) {
+            g = place.l2Stop[n];
+        } else {
+            g = place.mcStop[n - _params.numL2Banks];
+        }
+        return {-1, g, g};
+    };
+    Stop from = locate(src);
+    Stop to = locate(dst);
+
+    TSS_ASSERT(arena.size() < UINT32_MAX, "route arena overflow");
+    auto offset = static_cast<std::uint32_t>(arena.size());
+    arena.push_back(0); // the route's length, set below
+
+    unsigned local_stops = _params.coresPerRing + 1;
+    unsigned hub = _params.coresPerRing; // hub stop index
+    auto ring_base = [local_stops](int ring) {
+        return static_cast<unsigned>(ring) * local_stops;
+    };
+    if (from.ring >= 0 && from.ring == to.ring) {
+        // Same processor ring: purely local traversal.
+        appendRingLeg(ring_base(from.ring), local_stops, from.stop,
+                      to.stop);
+    } else {
+        if (from.ring >= 0)
+            appendRingLeg(ring_base(from.ring), local_stops, from.stop,
+                          hub);
+        if (kind == TopologyKind::Mesh)
+            appendMeshLeg(from.globalStop, to.globalStop);
+        else
+            appendRingLeg(globalBase, place.globalStops, from.globalStop,
+                          to.globalStop);
+        if (to.ring >= 0)
+            appendRingLeg(ring_base(to.ring), local_stops, hub, to.stop);
+    }
+    arena[offset] = static_cast<std::uint16_t>(arena.size() - offset - 1);
+    return offset;
+}
+
+void
+TopologyNetwork::appendRingLeg(unsigned base, unsigned stops,
+                               unsigned from, unsigned to)
+{
+    // A clockwise hop leaving `stop` crosses segment `stop`, a
+    // counter-clockwise one crosses the segment behind it.
+    bool clockwise = true;
+    unsigned dist = ringDistance(from, to, stops, clockwise);
     unsigned stop = from;
     for (unsigned i = 0; i < dist; ++i) {
         unsigned seg;
@@ -194,39 +249,28 @@ TopologyNetwork::walkRing(Link *segments, unsigned stops, unsigned from,
             seg = stop == 0 ? stops - 1 : stop - 1;
             stop = seg;
         }
-        t = reserveLane(segments[seg], t, ser) + _params.hopLatency;
+        arena.push_back(static_cast<std::uint16_t>(base + seg));
     }
-    return t;
 }
 
-Cycle
-TopologyNetwork::route(NodeId src_node, NodeId dst_node, Cycle inject,
-                       Cycle ser)
+void
+TopologyNetwork::appendMeshLeg(unsigned from, unsigned to)
 {
-    Location src = locate(src_node);
-    Location dst = locate(dst_node);
-
-    Cycle t = inject + ser; // injection serialization
-
-    if (src.localRing >= 0 && src.localRing == dst.localRing) {
-        // Same processor ring: purely local traversal.
-        return traverseLocalRing(static_cast<unsigned>(src.localRing),
-                                 src.stop, dst.stop, t, ser);
+    unsigned x = from % meshWidth, y = from / meshWidth;
+    unsigned tx = to % meshWidth, ty = to / meshWidth;
+    // Dimension-ordered: walk X to the target column, then Y.
+    while (x != tx) {
+        unsigned edge = x < tx ? x : x - 1;
+        arena.push_back(static_cast<std::uint16_t>(
+            globalBase + y * (meshWidth - 1) + edge));
+        x = x < tx ? x + 1 : x - 1;
     }
-
-    unsigned hub_pos = _params.coresPerRing; // hub stop index
-    if (src.localRing >= 0) {
-        t = traverseLocalRing(static_cast<unsigned>(src.localRing),
-                              src.stop, hub_pos, t, ser);
+    while (y != ty) {
+        unsigned edge_y = y < ty ? y : y - 1;
+        arena.push_back(static_cast<std::uint16_t>(
+            verticalBase + edge_y * meshWidth + x));
+        y = y < ty ? y + 1 : y - 1;
     }
-    unsigned gfrom = src.localRing >= 0 ? src.hubStop : src.stop;
-    unsigned gto = dst.localRing >= 0 ? dst.hubStop : dst.stop;
-    t = routeGlobal(gfrom, gto, t, ser);
-    if (dst.localRing >= 0) {
-        t = traverseLocalRing(static_cast<unsigned>(dst.localRing),
-                              hub_pos, dst.stop, t, ser);
-    }
-    return t;
 }
 
 Cycle
@@ -251,7 +295,13 @@ TopologyNetwork::sendAt(Cycle inject, MessagePtr msg)
                 << 16) |
                    static_cast<std::uint16_t>(msg->dst),
                msg->bytes);
-    Cycle t = route(msg->src, msg->dst, inject, ser);
+    Cycle t = inject + ser; // injection serialization
+    if (kind == TopologyKind::Fixed) {
+        t += _params.fixedLatency;
+    } else {
+        for (std::uint16_t link : path(msg->src, msg->dst))
+            t = reserveLane(links[link], t, ser) + _params.hopLatency;
+    }
     deliverAt(t, std::move(msg));
 }
 
@@ -259,52 +309,41 @@ Cycle
 TopologyNetwork::minDeliveryDelay() const
 {
     // Injection serialization is clamped to >= 1 cycle (sendAt), and
-    // any route between distinct stations crosses at least one link.
-    return _params.hopLatency + 1;
+    // any route between distinct stations crosses at least one link;
+    // Fixed charges its end-to-end latency instead.
+    return (kind == TopologyKind::Fixed ? _params.fixedLatency
+                                        : _params.hopLatency) +
+        1;
 }
 
 unsigned
-TopologyNetwork::hopCount(NodeId src_node, NodeId dst_node) const
+TopologyNetwork::hopCount(NodeId src, NodeId dst)
 {
-    Location src = locate(src_node);
-    Location dst = locate(dst_node);
-    bool cw = true;
-    unsigned count = 0;
-    unsigned local_stops = _params.coresPerRing + 1;
-    unsigned hub_pos = _params.coresPerRing;
+    if (kind == TopologyKind::Fixed)
+        return 0;
+    return static_cast<unsigned>(path(src, dst).size());
+}
 
-    if (src.localRing >= 0 && src.localRing == dst.localRing)
-        return ringDistance(src.stop, dst.stop, local_stops, cw);
-
-    if (src.localRing >= 0)
-        count += ringDistance(src.stop, hub_pos, local_stops, cw);
-    unsigned gfrom = src.localRing >= 0 ? src.hubStop : src.stop;
-    unsigned gto = dst.localRing >= 0 ? dst.hubStop : dst.stop;
-    count += globalHops(gfrom, gto);
-    if (dst.localRing >= 0)
-        count += ringDistance(hub_pos, dst.stop, local_stops, cw);
-    return count;
+double
+TopologyNetwork::utilization(const Link &link, Cycle now) const
+{
+    double capacity = static_cast<double>(now) *
+        static_cast<double>(_params.lanesPerSegment);
+    return capacity > 0 ? static_cast<double>(link.busyCycles) / capacity
+                        : 0.0;
 }
 
 LinkStats
 TopologyNetwork::linkStats(Cycle now) const
 {
     LinkStats stats;
-    auto visit = [&](const Link &link) {
-        ++stats.links;
+    stats.links = links.size();
+    for (const Link &link : links) {
         stats.traversals += link.traversals;
         stats.laneWaitCycles += link.waitCycles;
-        if (now > 0 && link.lanes > 0) {
-            double util = static_cast<double>(link.busyCycles) /
-                (static_cast<double>(now) *
-                 static_cast<double>(link.lanes));
-            stats.maxUtilization = std::max(stats.maxUtilization, util);
-        }
-    };
-    for (const auto &segments : localSegments)
-        for (const auto &link : segments)
-            visit(link);
-    visitGlobalLinks(visit);
+        stats.maxUtilization =
+            std::max(stats.maxUtilization, utilization(link, now));
+    }
     return stats;
 }
 
@@ -312,18 +351,9 @@ std::vector<double>
 TopologyNetwork::linkUtilizations(Cycle now) const
 {
     std::vector<double> utils;
-    auto visit = [&](const Link &link) {
-        double capacity = static_cast<double>(now) *
-            static_cast<double>(link.lanes);
-        utils.push_back(capacity > 0
-                            ? static_cast<double>(link.busyCycles) /
-                                  capacity
-                            : 0.0);
-    };
-    for (const auto &segments : localSegments)
-        for (const auto &link : segments)
-            visit(link);
-    visitGlobalLinks(visit);
+    utils.reserve(links.size());
+    for (const Link &link : links)
+        utils.push_back(utilization(link, now));
     return utils;
 }
 
@@ -331,13 +361,9 @@ std::vector<std::uint64_t>
 TopologyNetwork::linkTraversals() const
 {
     std::vector<std::uint64_t> counts;
-    auto visit = [&](const Link &link) {
+    counts.reserve(links.size());
+    for (const Link &link : links)
         counts.push_back(link.traversals);
-    };
-    for (const auto &segments : localSegments)
-        for (const auto &link : segments)
-            visit(link);
-    visitGlobalLinks(visit);
     return counts;
 }
 
@@ -361,18 +387,8 @@ std::unique_ptr<TopologyNetwork>
 makeTopology(TopologyKind kind, std::string name, EventQueue &eq,
              NocParams params)
 {
-    switch (kind) {
-      case TopologyKind::Fixed:
-        return std::make_unique<FixedNetwork>(std::move(name), eq,
-                                              params);
-      case TopologyKind::Ring:
-        return std::make_unique<RingNetwork>(std::move(name), eq,
+    return std::make_unique<TopologyNetwork>(std::move(name), eq, kind,
                                              params);
-      case TopologyKind::Mesh:
-        return std::make_unique<MeshNetwork>(std::move(name), eq,
-                                             params);
-    }
-    fatal("unknown topology kind %d", static_cast<int>(kind));
 }
 
 } // namespace tss

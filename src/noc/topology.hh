@@ -1,33 +1,36 @@
 /**
  * @file
- * The pluggable NoC topology layer. A TopologyNetwork is a Network
- * whose stations (worker/master cores, frontend tiles, L2 banks,
- * memory controllers) occupy *stops* of a modeled fabric:
+ * The NoC topology layer. A TopologyNetwork is a Network whose
+ * stations (worker/master cores, frontend tiles, L2 banks, memory
+ * controllers) occupy *stops* of a modeled fabric:
  *
  *  - cores sit on local processor rings of `coresPerRing` stops plus
  *    a hub (the paper's two-level interconnect, Table II); the local
  *    legs are shared by every topology;
  *  - the global fabric connecting hubs, frontend tiles, L2 banks and
- *    memory controllers is the pluggable part — a global ring
- *    (RingNetwork, noc/ring.hh), a 2D mesh with XY routing
- *    (MeshNetwork, noc/mesh.hh), or the fixed-latency degenerate
- *    case (FixedNetwork, below);
+ *    memory controllers is selected by TopologyKind — the paper's
+ *    global ring (shortest direction), a 2D mesh with XY routing, or
+ *    the fixed-latency degenerate case;
  *  - which station occupies which global stop is a PlacementPolicy
  *    decision (noc/placement.hh), so slice distance is a modeled
  *    quantity rather than a hard-coded adjacency.
  *
- * Every traversed link charges hop latency and reserves one of its
- * `lanesPerSegment` lanes (the link's credits) for the message's
- * serialization time; waiting for a lane is recorded as backpressure
- * so contention is observable (LinkStats).
+ * Every topology is one class over one flat link table. The route
+ * between two nodes is built once, on first use, as a list of link
+ * indices in traversal order and memoised per (src, dst); sending a
+ * message walks that list. Every traversed link charges hop latency
+ * and reserves one of its `lanesPerSegment` lanes (the link's
+ * credits) for the message's serialization time; waiting for a lane
+ * is recorded as backpressure so contention is observable
+ * (LinkStats).
  */
 
 #ifndef TSS_NOC_TOPOLOGY_HH
 #define TSS_NOC_TOPOLOGY_HH
 
 #include <array>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,9 +80,6 @@ struct NocParams
     std::uint64_t placementSeed = 1;
 };
 
-/** Historical name: the params struct predates the topology layer. */
-using RingParams = NocParams;
-
 /** Aggregated link contention counters (see TopologyNetwork). */
 struct LinkStats
 {
@@ -90,16 +90,17 @@ struct LinkStats
 };
 
 /**
- * Network over a placed topology. Subclasses model the global fabric
- * (routeGlobal); local processor-ring legs, station node-id mapping,
- * placement, lane accounting and the per-pair FIFO delivery clamp
- * (Network::deliverAt) are shared here, so no topology can reorder
- * same-pair messages or diverge in how contention is charged.
+ * Network over a placed topology. Station node-id mapping, placement,
+ * routes, lane accounting and the per-pair FIFO delivery clamp
+ * (Network::deliverAt) are the same code for every TopologyKind, so
+ * no topology can reorder same-pair messages or diverge in how
+ * contention is charged.
  */
-class TopologyNetwork : public Network
+class TopologyNetwork final : public Network
 {
   public:
-    TopologyNetwork(std::string name, EventQueue &eq, NocParams params);
+    TopologyNetwork(std::string name, EventQueue &eq, TopologyKind kind,
+                    NocParams params);
 
     /// @name Node id lookup for the different station types.
     /// @{
@@ -109,17 +110,18 @@ class TopologyNetwork : public Network
     NodeId memCtrlNode(unsigned mc) const;
     /// @}
 
-    void sendAt(Cycle inject, MessagePtr msg) final;
+    void sendAt(Cycle inject, MessagePtr msg) override;
 
     /**
      * Minimum inject-to-delivery delay between distinct stations:
      * injection serialization (>= 1 cycle) plus at least one link
-     * traversal. The windowed engine's lookahead.
+     * traversal, or the Fixed latency. The windowed engine's
+     * lookahead.
      */
     Cycle minDeliveryDelay() const override;
 
-    /** Hop count between two nodes (route enumeration, no state). */
-    virtual unsigned hopCount(NodeId src, NodeId dst) const;
+    /** Links on the route from @p src to @p dst (0 on Fixed). */
+    unsigned hopCount(NodeId src, NodeId dst);
 
     const NocParams &params() const { return _params; }
     const PlacementMap &placement() const { return place; }
@@ -129,9 +131,11 @@ class TopologyNetwork : public Network
 
     /**
      * Per-link lane utilization (busy lane-cycles / (now * lanes))
-     * over [0, @p now]: local processor-ring segments first (ring 0's
-     * segments in stop order, then ring 1's, ...), then the global
-     * fabric's links in the subclass's visitGlobalLinks order.
+     * over [0, @p now], in link-table order: local processor-ring
+     * segments first (ring 0's segments in stop order, then ring
+     * 1's, ...), then the global fabric — the global ring's segments
+     * in stop order, or the mesh's horizontal edges followed by its
+     * vertical edges (row-major). Fixed has only the local segments.
      */
     std::vector<double> linkUtilizations(Cycle now) const;
 
@@ -147,7 +151,7 @@ class TopologyNetwork : public Network
      */
     obs::HistogramSnapshot utilizationHistogram(Cycle now) const;
 
-  protected:
+  private:
     /// One link: lane credits shared by both directions, plus
     /// contention counters.
     struct Link
@@ -156,34 +160,10 @@ class TopologyNetwork : public Network
         static constexpr unsigned maxLanes = 8;
 
         std::array<Cycle, maxLanes> laneFree{}; ///< busy-until per lane
-        unsigned lanes = 0;       ///< lanes in use (lanesPerSegment)
         std::uint64_t traversals = 0;
-        Cycle busyCycles = 0;     ///< serialization reserved
-        Cycle waitCycles = 0;     ///< backpressure waiting for a lane
+        Cycle busyCycles = 0; ///< serialization reserved
+        Cycle waitCycles = 0; ///< backpressure waiting for a lane
     };
-
-    /// Location of a node: which processor ring it is on (or -1 for
-    /// global stations) and its stop indices.
-    struct Location
-    {
-        int localRing;    ///< -1 when the node sits on the global fabric
-        unsigned stop;    ///< stop index within its ring / the fabric
-        unsigned hubStop; ///< this ring's hub stop on the global fabric
-    };
-
-    /** Where @p node sits (a table lookup). */
-    Location locate(NodeId node) const;
-
-    Link makeLink() const;
-
-    /**
-     * Shortest distance and direction around a ring of @p n stops
-     * (ties break clockwise). Shared by the local-ring legs and the
-     * global-ring fabric so modeled distance (hopCount) and charged
-     * latency (route) can never disagree on direction.
-     */
-    static unsigned ringDistance(unsigned from, unsigned to,
-                                 unsigned n, bool &clockwise);
 
     /** Injection serialization of a @p bytes message (>= 1 cycle). */
     Cycle
@@ -193,112 +173,68 @@ class TopologyNetwork : public Network
                                        : serializationFormula(bytes);
     }
 
+    /** ceil(bytes / bytesPerCycle), at least one cycle. */
+    Cycle serializationFormula(Bytes bytes) const;
+
     /**
      * Reserve the earliest-free lane of @p link from @p t for
      * @p ser cycles; returns when the message starts crossing.
      */
     Cycle reserveLane(Link &link, Cycle t, Cycle ser);
 
-    /**
-     * Full route of a message injected at @p inject: local ring leg,
-     * global fabric, local ring leg. Overridden only by the
-     * distance-free Fixed topology.
-     */
-    virtual Cycle route(NodeId src, NodeId dst, Cycle inject,
-                        Cycle ser);
+    /** Busy fraction of @p link's lanes over [0, @p now]. */
+    double utilization(const Link &link, Cycle now) const;
 
     /**
-     * Route between two *global* stops starting at @p start,
-     * reserving lanes along the way; returns the arrival cycle.
+     * The link indices from @p src to @p dst in traversal order,
+     * built by buildPath() on the pair's first use.
      */
-    virtual Cycle routeGlobal(unsigned from, unsigned to, Cycle start,
-                              Cycle ser) = 0;
-
-    /** Stateless hop count between two global stops. */
-    virtual unsigned globalHops(unsigned from, unsigned to) const = 0;
-
-    /** Enumerate the subclass's global-fabric links for LinkStats. */
-    virtual void visitGlobalLinks(
-        const std::function<void(const Link &)> &fn) const = 0;
+    std::span<const std::uint16_t> path(NodeId src, NodeId dst);
 
     /**
-     * Walk @p dist hops around a ring of @p stops link @p segments
-     * from stop @p from in the given direction, reserving a lane of
-     * every crossed segment; returns the arrival cycle. Shared by the
-     * local-ring legs and the global ring.
+     * Append the route from node @p src to node @p dst to the arena:
+     * local ring leg to the hub, the global fabric, the hub to the
+     * destination's stop. Returns the route's arena offset.
      */
-    Cycle walkRing(Link *segments, unsigned stops, unsigned from,
-                   unsigned dist, bool clockwise, Cycle start,
-                   Cycle ser);
+    std::uint32_t buildPath(unsigned src, unsigned dst);
 
-    /** Traverse a local processor ring (shortest direction). */
-    Cycle traverseLocalRing(unsigned ring, unsigned from, unsigned to,
-                            Cycle start, Cycle ser);
+    /**
+     * Append the shortest-direction walk from stop @p from to stop
+     * @p to around the ring whose @p stops segments start at link
+     * @p base (segment i joins stop i to stop i + 1).
+     */
+    void appendRingLeg(unsigned base, unsigned stops, unsigned from,
+                       unsigned to);
 
+    /** Append the XY walk between two global stops of the mesh. */
+    void appendMeshLeg(unsigned from, unsigned to);
+
+    TopologyKind kind;
     NocParams _params;
-    unsigned numRings;
+    unsigned numNodes = 0;
     PlacementMap place;
 
-  private:
-    /** Location of node index @p n from the placement map. */
-    Location computeLocation(unsigned n) const;
+    /// Mesh grid width (global stops fill the grid row-major).
+    unsigned meshWidth = 1;
+    /// First global-fabric link; the mesh's first vertical edge.
+    unsigned globalBase = 0;
+    unsigned verticalBase = 0;
 
-    /** ceil(bytes / bytesPerCycle), at least one cycle. */
-    Cycle serializationFormula(Bytes bytes) const;
+    /// Every link of the fabric, in linkUtilizations() order.
+    std::vector<Link> links;
 
-    /// Per processor ring: coresPerRing + 1 link segments.
-    std::vector<std::vector<Link>> localSegments;
-
-    /// locate() of every node, indexed by NodeId.
-    std::vector<Location> locations;
+    /// Route memo: arena offset of the (src, dst) route, indexed by
+    /// src * numNodes + dst; 0 until the pair's first message (the
+    /// table itself is allocated on first use).
+    std::vector<std::uint32_t> pathAt;
+    /// Routes, each a length followed by that many link indices;
+    /// entry 0 is a placeholder so offset 0 can mean "not built".
+    std::vector<std::uint16_t> arena;
 
     /// serializationFormula(b) for every b below the table size,
     /// which covers every protocol message (the formula's double
     /// division is the fallback for larger payloads).
     std::vector<Cycle> serTable;
-};
-
-/**
- * The degenerate topology: every message arrives
- * `fixedLatency + ceil(bytes/bytesPerCycle)` cycles after injection,
- * independent of placement — the idealized-interconnect bound of the
- * topology sweeps. (SimpleNetwork in noc/network.hh is the same model
- * without station mapping, kept for protocol unit tests.)
- */
-class FixedNetwork : public TopologyNetwork
-{
-  public:
-    FixedNetwork(std::string name, EventQueue &eq, NocParams params)
-        : TopologyNetwork(std::move(name), eq, params)
-    {}
-
-    unsigned hopCount(NodeId, NodeId) const override { return 0; }
-
-    /** Distance-free: the end-to-end latency plus serialization. */
-    Cycle
-    minDeliveryDelay() const override
-    {
-        return _params.fixedLatency + 1;
-    }
-
-  protected:
-    Cycle
-    route(NodeId, NodeId, Cycle inject, Cycle ser) override
-    {
-        return inject + _params.fixedLatency + ser;
-    }
-
-    Cycle
-    routeGlobal(unsigned, unsigned, Cycle start, Cycle) override
-    {
-        return start;
-    }
-
-    unsigned globalHops(unsigned, unsigned) const override { return 0; }
-
-    void visitGlobalLinks(
-        const std::function<void(const Link &)> &) const override
-    {}
 };
 
 /**

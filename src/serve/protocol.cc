@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include "mem/block_layout.hh"
+#include "mem/bucket_allocator.hh"
 #include "trace/trace_io.hh"
 
 namespace tss::serve
@@ -162,7 +163,8 @@ validateTrace(const TaskTrace &trace)
             task.runtime > maxTaskRuntime)
             return false;
         for (const TraceOperand &op : task.operands)
-            if (op.bytes > ~op.addr)
+            if (op.bytes > ~op.addr ||
+                op.bytes > BucketAllocator::largestBucket)
                 return false;
     }
     return true;

@@ -97,9 +97,11 @@ constexpr Cycle maxTaskRuntime = Cycle(1) << 40;
  * The service's check of a parsed job, for wire text and in-process
  * traces alike: false when a task is wider than the TRS operand
  * layout (layout::maxOperands), runs longer than maxTaskRuntime, or
- * names an operand whose addr + bytes wraps past 2^64. Each of these
- * would otherwise kill the process later (fatal() or an assertion in
- * SystemBuilder, the event queue or the relocator).
+ * names an operand whose addr + bytes wraps past 2^64 or that is
+ * larger than the largest OVT rename bucket
+ * (BucketAllocator::largestBucket). Each of these would otherwise
+ * kill the process later (fatal() or an assertion in SystemBuilder,
+ * the event queue, the relocator or the rename-buffer allocator).
  */
 bool validateTrace(const TaskTrace &trace);
 

@@ -9,14 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "noc/mesh.hh"
 #include "noc/network.hh"
 #include "noc/placement.hh"
-#include "noc/ring.hh"
 #include "noc/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -45,10 +44,10 @@ class Sink : public Endpoint
     std::vector<NodeId> sources;
 };
 
-RingParams
+NocParams
 smallRing()
 {
-    RingParams p;
+    NocParams p;
     p.numCores = 32;
     p.coresPerRing = 8;
     p.numL2Banks = 8;
@@ -60,16 +59,16 @@ smallRing()
 TEST(RingTopology, NodeIdsAreDistinct)
 {
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     std::vector<NodeId> all;
     for (unsigned i = 0; i < 32; ++i)
-        all.push_back(net.coreNode(i));
+        all.push_back(net->coreNode(i));
     for (unsigned i = 0; i < 4; ++i)
-        all.push_back(net.frontendNode(i));
+        all.push_back(net->frontendNode(i));
     for (unsigned i = 0; i < 8; ++i)
-        all.push_back(net.l2Node(i));
+        all.push_back(net->l2Node(i));
     for (unsigned i = 0; i < 2; ++i)
-        all.push_back(net.memCtrlNode(i));
+        all.push_back(net->memCtrlNode(i));
     std::sort(all.begin(), all.end());
     EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) ==
                 all.end());
@@ -78,43 +77,43 @@ TEST(RingTopology, NodeIdsAreDistinct)
 TEST(RingTopology, HopCounts)
 {
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     // Same node: zero hops.
-    EXPECT_EQ(net.hopCount(net.coreNode(0), net.coreNode(0)), 0u);
+    EXPECT_EQ(net->hopCount(net->coreNode(0), net->coreNode(0)), 0u);
     // Neighbours on the same local ring: one hop.
-    EXPECT_EQ(net.hopCount(net.coreNode(0), net.coreNode(1)), 1u);
+    EXPECT_EQ(net->hopCount(net->coreNode(0), net->coreNode(1)), 1u);
     // Same ring, opposite side: shortest direction <= stops/2.
-    EXPECT_LE(net.hopCount(net.coreNode(0), net.coreNode(4)), 5u);
+    EXPECT_LE(net->hopCount(net->coreNode(0), net->coreNode(4)), 5u);
     // Cross-ring paths go through both hubs.
     unsigned cross =
-        net.hopCount(net.coreNode(0), net.coreNode(31));
+        net->hopCount(net->coreNode(0), net->coreNode(31));
     EXPECT_GT(cross, 2u);
     // Core to frontend: local ring to hub, hub to tile.
-    EXPECT_GT(net.hopCount(net.coreNode(5), net.frontendNode(0)), 0u);
+    EXPECT_GT(net->hopCount(net->coreNode(5), net->frontendNode(0)), 0u);
 }
 
 TEST(RingNetwork, DeliversWithLatency)
 {
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     Sink sink(eq);
-    net.attach(net.frontendNode(0), sink);
+    net->attach(net->frontendNode(0), sink);
 
-    auto msg = std::make_unique<Message>(net.coreNode(3),
-                                         net.frontendNode(0), 16);
-    net.send(std::move(msg));
+    auto msg = std::make_unique<Message>(net->coreNode(3),
+                                         net->frontendNode(0), 16);
+    net->send(std::move(msg));
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), 1u);
     EXPECT_GT(sink.arrivals[0], 0u);
-    EXPECT_EQ(net.messagesSent(), 1u);
+    EXPECT_EQ(net->messagesSent(), 1u);
 }
 
 TEST(RingNetwork, PerPairFifo)
 {
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     Sink sink(eq);
-    net.attach(net.frontendNode(1), sink);
+    net->attach(net->frontendNode(1), sink);
 
     // A large message followed by small ones; arrivals must stay in
     // send order despite different serialization times.
@@ -122,10 +121,10 @@ TEST(RingNetwork, PerPairFifo)
         Bytes size = i == 0 ? 512 : 8;
         eq.schedule(i, [&net, size, i] {
             auto msg = std::make_unique<Message>(0, 0, size);
-            msg->src = net.coreNode(2);
-            msg->dst = net.frontendNode(1);
+            msg->src = net->coreNode(2);
+            msg->dst = net->frontendNode(1);
             msg->bytes = size;
-            net.send(std::move(msg));
+            net->send(std::move(msg));
         });
     }
     eq.run();
@@ -142,23 +141,23 @@ TEST(RingNetwork, TwoHopPatternChargesExactlyTwoLinks)
     // charge those two links five one-cycle reservations apiece and
     // leave every other link in the fabric untouched.
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     Sink sink(eq);
-    net.attach(net.coreNode(2), sink);
-    ASSERT_EQ(net.hopCount(net.coreNode(0), net.coreNode(2)), 2u);
+    net->attach(net->coreNode(2), sink);
+    ASSERT_EQ(net->hopCount(net->coreNode(0), net->coreNode(2)), 2u);
 
     constexpr unsigned sends = 5;
     for (unsigned i = 0; i < sends; ++i) {
         eq.schedule(i * 10, [&net] {
-            auto msg = std::make_unique<Message>(net.coreNode(0),
-                                                 net.coreNode(2), 16);
-            net.send(std::move(msg));
+            auto msg = std::make_unique<Message>(net->coreNode(0),
+                                                 net->coreNode(2), 16);
+            net->send(std::move(msg));
         });
     }
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), sends);
 
-    std::vector<std::uint64_t> traversals = net.linkTraversals();
+    std::vector<std::uint64_t> traversals = net->linkTraversals();
     ASSERT_GT(traversals.size(), 2u);
     EXPECT_EQ(traversals[0], sends); // ring 0, segment 0
     EXPECT_EQ(traversals[1], sends); // ring 0, segment 1
@@ -166,7 +165,7 @@ TEST(RingNetwork, TwoHopPatternChargesExactlyTwoLinks)
         EXPECT_EQ(traversals[i], 0u) << "link " << i;
 
     Cycle now = eq.now();
-    std::vector<double> utils = net.linkUtilizations(now);
+    std::vector<double> utils = net->linkUtilizations(now);
     ASSERT_EQ(utils.size(), traversals.size());
     double lanes = smallRing().lanesPerSegment;
     double expected =
@@ -178,7 +177,7 @@ TEST(RingNetwork, TwoHopPatternChargesExactlyTwoLinks)
 
     // Everything is under 10% busy, so the histogram must put every
     // link of the fabric in the first bucket.
-    obs::HistogramSnapshot hist = net.utilizationHistogram(now);
+    obs::HistogramSnapshot hist = net->utilizationHistogram(now);
     ASSERT_EQ(hist.counts.size(), 10u);
     EXPECT_EQ(hist.counts[0], utils.size());
     EXPECT_EQ(hist.totalCount(), utils.size());
@@ -191,24 +190,24 @@ TEST(RingNetwork, SaturatedLinkLandsInTopHistogramBucket)
     // approaches 1.0, which must land in the closed top bucket
     // [90%, 100%] while idle links stay in [0%, 10%).
     EventQueue eq;
-    RingParams p = smallRing();
+    NocParams p = smallRing();
     p.lanesPerSegment = 1;
-    RingNetwork net("noc", eq, p);
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, p);
     Sink sink(eq);
-    net.attach(net.coreNode(1), sink);
+    net->attach(net->coreNode(1), sink);
 
     constexpr unsigned sends = 64;
     for (unsigned i = 0; i < sends; ++i) {
-        auto msg = std::make_unique<Message>(net.coreNode(0),
-                                             net.coreNode(1), 256);
-        net.send(std::move(msg));
+        auto msg = std::make_unique<Message>(net->coreNode(0),
+                                             net->coreNode(1), 256);
+        net->send(std::move(msg));
     }
     eq.run();
     ASSERT_EQ(sink.arrivals.size(), sends);
 
-    std::vector<double> utils = net.linkUtilizations(eq.now());
+    std::vector<double> utils = net->linkUtilizations(eq.now());
     EXPECT_GT(utils[0], 0.9);
-    obs::HistogramSnapshot hist = net.utilizationHistogram(eq.now());
+    obs::HistogramSnapshot hist = net->utilizationHistogram(eq.now());
     ASSERT_EQ(hist.counts.size(), 10u);
     EXPECT_EQ(hist.lowerBounds.back(), 90u);
     EXPECT_EQ(hist.counts.back(), 1u);
@@ -218,32 +217,32 @@ TEST(RingNetwork, SaturatedLinkLandsInTopHistogramBucket)
 TEST(RingNetwork, ContentionDelaysTraffic)
 {
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     Sink sink(eq);
-    net.attach(net.l2Node(0), sink);
+    net->attach(net->l2Node(0), sink);
 
     // Single probe.
-    auto probe = std::make_unique<Message>(net.coreNode(0),
-                                           net.l2Node(0), 64);
-    net.send(std::move(probe));
+    auto probe = std::make_unique<Message>(net->coreNode(0),
+                                           net->l2Node(0), 64);
+    net->send(std::move(probe));
     eq.run();
     Cycle uncontended = sink.arrivals[0];
 
     // Same probe while 64 big messages hammer the same path.
     EventQueue eq2;
-    RingNetwork net2("noc", eq2, smallRing());
+    auto net2 = makeTopology(TopologyKind::Ring, "noc", eq2, smallRing());
     Sink sink2(eq2);
     Sink other(eq2);
-    net2.attach(net2.l2Node(0), sink2);
-    net2.attach(net2.l2Node(1), other);
+    net2->attach(net2->l2Node(0), sink2);
+    net2->attach(net2->l2Node(1), other);
     for (int i = 0; i < 64; ++i) {
-        auto noise = std::make_unique<Message>(net2.coreNode(1),
-                                               net2.l2Node(1), 1024);
-        net2.send(std::move(noise));
+        auto noise = std::make_unique<Message>(net2->coreNode(1),
+                                               net2->l2Node(1), 1024);
+        net2->send(std::move(noise));
     }
-    auto probe2 = std::make_unique<Message>(net2.coreNode(0),
-                                            net2.l2Node(0), 64);
-    net2.send(std::move(probe2));
+    auto probe2 = std::make_unique<Message>(net2->coreNode(0),
+                                            net2->l2Node(0), 64);
+    net2->send(std::move(probe2));
     eq2.run();
     EXPECT_GT(sink2.arrivals[0], uncontended);
 }
@@ -251,23 +250,23 @@ TEST(RingNetwork, ContentionDelaysTraffic)
 TEST(RingNetwork, LargeMessagesTakeLonger)
 {
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     Sink sink(eq);
-    net.attach(net.memCtrlNode(0), sink);
+    net->attach(net->memCtrlNode(0), sink);
 
-    auto small = std::make_unique<Message>(net.coreNode(0),
-                                           net.memCtrlNode(0), 16);
-    net.send(std::move(small));
+    auto small = std::make_unique<Message>(net->coreNode(0),
+                                           net->memCtrlNode(0), 16);
+    net->send(std::move(small));
     eq.run();
     Cycle small_t = sink.arrivals[0];
 
     EventQueue eq2;
-    RingNetwork net2("noc", eq2, smallRing());
+    auto net2 = makeTopology(TopologyKind::Ring, "noc", eq2, smallRing());
     Sink sink2(eq2);
-    net2.attach(net2.memCtrlNode(0), sink2);
-    auto big = std::make_unique<Message>(net2.coreNode(0),
-                                         net2.memCtrlNode(0), 4096);
-    net2.send(std::move(big));
+    net2->attach(net2->memCtrlNode(0), sink2);
+    auto big = std::make_unique<Message>(net2->coreNode(0),
+                                         net2->memCtrlNode(0), 4096);
+    net2->send(std::move(big));
     eq2.run();
     EXPECT_GT(sink2.arrivals[0], small_t);
 }
@@ -288,15 +287,15 @@ TEST(SimpleNetwork, ExactLatency)
 TEST(RingNetwork, ManyCoreConfigurationWorks)
 {
     EventQueue eq;
-    RingParams p;
+    NocParams p;
     p.numCores = 257; // 256 workers + master
     p.numFrontendTiles = 16;
-    RingNetwork net("noc", eq, p);
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, p);
     Sink sink(eq);
-    net.attach(net.frontendNode(15), sink);
-    auto msg = std::make_unique<Message>(net.coreNode(256),
-                                         net.frontendNode(15), 64);
-    net.send(std::move(msg));
+    net->attach(net->frontendNode(15), sink);
+    auto msg = std::make_unique<Message>(net->coreNode(256),
+                                         net->frontendNode(15), 64);
+    net->send(std::move(msg));
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 1u);
 }
@@ -307,7 +306,7 @@ TEST(Placement, AdjacentReproducesHistoricalLayout)
 {
     // Hubs first, then the frontend tiles as one block, then L2
     // banks, then memory controllers — the layout the pre-topology
-    // RingNetwork hard-coded (and the golden stats pin).
+    // ring model hard-coded (and the golden stats pin).
     PlacementMap map =
         makePlacement(PlacementKind::Adjacent, 4, 3, 8, 2, 1);
     EXPECT_EQ(map.globalStops, 17u);
@@ -387,43 +386,44 @@ TEST(Placement, ParseRoundTrips)
 TEST(MeshNetwork, GridGeometryAndHops)
 {
     EventQueue eq;
-    MeshNetwork net("mesh", eq, smallRing());
-    // 4 rings -> 4 hubs; 4 + 4 + 8 + 2 = 18 stations -> 5x4 grid.
-    EXPECT_EQ(net.meshWidth(), 5u);
-    EXPECT_GE(net.meshWidth() * net.meshHeight(), 18u);
+    auto net = makeTopology(TopologyKind::Mesh, "mesh", eq, smallRing());
+    // 4 rings -> 4 hubs; 4 + 4 + 8 + 2 = 18 stations -> 5x4 grid,
+    // filled row-major in placement order.
+    const PlacementMap &place = net->placement();
+    unsigned width = static_cast<unsigned>(
+        std::ceil(std::sqrt(static_cast<double>(place.globalStops))));
+    unsigned height = (place.globalStops + width - 1) / width;
+    EXPECT_EQ(width, 5u);
+    EXPECT_GE(width * height, 18u);
 
     // Global stations route XY: hop count is the Manhattan distance.
-    const PlacementMap &place = net.placement();
     unsigned f0 = place.frontendStop[0];
     unsigned l7 = place.l2Stop[7];
-    unsigned dx = net.stopX(f0) > net.stopX(l7)
-        ? net.stopX(f0) - net.stopX(l7)
-        : net.stopX(l7) - net.stopX(f0);
-    unsigned dy = net.stopY(f0) > net.stopY(l7)
-        ? net.stopY(f0) - net.stopY(l7)
-        : net.stopY(l7) - net.stopY(f0);
-    EXPECT_EQ(net.hopCount(net.frontendNode(0), net.l2Node(7)),
+    auto dist = [](unsigned a, unsigned b) { return a > b ? a - b : b - a; };
+    unsigned dx = dist(f0 % width, l7 % width);
+    unsigned dy = dist(f0 / width, l7 / width);
+    EXPECT_EQ(net->hopCount(net->frontendNode(0), net->l2Node(7)),
               dx + dy);
 
     // Core legs still ride the local processor rings.
-    EXPECT_GT(net.hopCount(net.coreNode(0), net.frontendNode(0)), 0u);
-    EXPECT_EQ(net.hopCount(net.coreNode(0), net.coreNode(1)), 1u);
+    EXPECT_GT(net->hopCount(net->coreNode(0), net->frontendNode(0)), 0u);
+    EXPECT_EQ(net->hopCount(net->coreNode(0), net->coreNode(1)), 1u);
 }
 
 TEST(MeshNetwork, DeliversAndRecordsContention)
 {
     EventQueue eq;
-    MeshNetwork net("mesh", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Mesh, "mesh", eq, smallRing());
     Sink sink(eq);
-    net.attach(net.l2Node(0), sink);
+    net->attach(net->l2Node(0), sink);
     for (int i = 0; i < 64; ++i) {
-        auto msg = std::make_unique<Message>(net.coreNode(1),
-                                             net.l2Node(0), 1024);
-        net.send(std::move(msg));
+        auto msg = std::make_unique<Message>(net->coreNode(1),
+                                             net->l2Node(0), 1024);
+        net->send(std::move(msg));
     }
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 64u);
-    LinkStats links = net.linkStats(eq.now());
+    LinkStats links = net->linkStats(eq.now());
     EXPECT_GT(links.traversals, 0u);
     EXPECT_GT(links.laneWaitCycles, 0u)
         << "64 large same-path messages should contend for lanes";
@@ -465,7 +465,7 @@ TEST(NocLatency, NetworkHistogramMatchesDeliveredLatencies)
     // network's latency statistics equal the sort-based ones over the
     // latencies the endpoints observed.
     EventQueue eq;
-    RingNetwork net("noc", eq, smallRing());
+    auto net = makeTopology(TopologyKind::Ring, "noc", eq, smallRing());
     Distribution observed;
     struct LatencySink : Endpoint
     {
@@ -479,27 +479,27 @@ TEST(NocLatency, NetworkHistogramMatchesDeliveredLatencies)
     } sink0, sink1;
     sink0.eq = sink1.eq = &eq;
     sink0.d = sink1.d = &observed;
-    net.attach(net.l2Node(0), sink0);
-    net.attach(net.l2Node(5), sink1);
+    net->attach(net->l2Node(0), sink0);
+    net->attach(net->l2Node(5), sink1);
     Rng rng(9);
     for (int i = 0; i < 3000; ++i) {
         eq.schedule(rng.range(2000), [&net, &rng, i] {
-            NodeId dst = i % 2 ? net.l2Node(0) : net.l2Node(5);
+            NodeId dst = i % 2 ? net->l2Node(0) : net->l2Node(5);
             Bytes bytes = rng.chance(0.1) ? 1024 + rng.range(2000)
                                           : 8 + rng.range(200);
-            net.send(std::make_unique<Message>(
-                net.coreNode(static_cast<unsigned>(rng.range(32))), dst,
+            net->send(std::make_unique<Message>(
+                net->coreNode(static_cast<unsigned>(rng.range(32))), dst,
                 bytes));
         });
     }
     eq.run();
-    const IntHistogram &lat = net.latencyStat();
+    const IntHistogram &lat = net->latencyStat();
     ASSERT_EQ(lat.count(), 3000u);
     EXPECT_EQ(lat.count(), observed.count());
     EXPECT_EQ(lat.mean(), observed.mean());
     EXPECT_EQ(lat.percentile(95), observed.percentile(95));
     EXPECT_EQ(lat.max(), observed.max());
-    EXPECT_GT(net.linkStats(eq.now()).laneWaitCycles, 0u);
+    EXPECT_GT(net->linkStats(eq.now()).laneWaitCycles, 0u);
 }
 
 TEST(FixedNetwork, DistanceFreeDelivery)
@@ -507,23 +507,38 @@ TEST(FixedNetwork, DistanceFreeDelivery)
     EventQueue eq;
     NocParams p = smallRing();
     p.fixedLatency = 10;
-    FixedNetwork net("fixed", eq, p);
+    auto net = makeTopology(TopologyKind::Fixed, "fixed", eq, p);
     Sink near(eq), far(eq);
-    net.attach(net.frontendNode(0), near);
-    net.attach(net.memCtrlNode(1), far);
-    auto a = std::make_unique<Message>(net.coreNode(0),
-                                       net.frontendNode(0), 32);
-    auto b = std::make_unique<Message>(net.coreNode(0),
-                                       net.memCtrlNode(1), 32);
-    net.send(std::move(a));
-    net.send(std::move(b));
+    net->attach(net->frontendNode(0), near);
+    net->attach(net->memCtrlNode(1), far);
+    auto a = std::make_unique<Message>(net->coreNode(0),
+                                       net->frontendNode(0), 32);
+    auto b = std::make_unique<Message>(net->coreNode(0),
+                                       net->memCtrlNode(1), 32);
+    net->send(std::move(a));
+    net->send(std::move(b));
     eq.run();
     ASSERT_EQ(near.arrivals.size(), 1u);
     ASSERT_EQ(far.arrivals.size(), 1u);
     EXPECT_EQ(near.arrivals[0], far.arrivals[0])
         << "fixed topology must ignore distance";
-    EXPECT_EQ(net.hopCount(net.coreNode(0), net.memCtrlNode(1)), 0u);
+    EXPECT_EQ(net->hopCount(net->coreNode(0), net->memCtrlNode(1)), 0u);
 }
+
+/** One topology x placement of the all-topology tests below. */
+struct TopologyConfig
+{
+    TopologyKind topology;
+    PlacementKind placement;
+};
+
+const TopologyConfig topologyMatrix[] = {
+    {TopologyKind::Ring, PlacementKind::Adjacent},
+    {TopologyKind::Ring, PlacementKind::Spread},
+    {TopologyKind::Mesh, PlacementKind::Spread},
+    {TopologyKind::Mesh, PlacementKind::Random},
+    {TopologyKind::Fixed, PlacementKind::Adjacent},
+};
 
 /**
  * Regression for the shared per-pair FIFO clamp (Network::deliverAt):
@@ -559,20 +574,7 @@ TEST(TopologyNetwork, PerPairFifoUnderRandomTrafficAllTopologies)
         std::map<std::uint64_t, std::uint64_t> lastSeq;
     };
 
-    struct Config
-    {
-        TopologyKind topology;
-        PlacementKind placement;
-    };
-    const Config configs[] = {
-        {TopologyKind::Ring, PlacementKind::Adjacent},
-        {TopologyKind::Ring, PlacementKind::Spread},
-        {TopologyKind::Mesh, PlacementKind::Spread},
-        {TopologyKind::Mesh, PlacementKind::Random},
-        {TopologyKind::Fixed, PlacementKind::Adjacent},
-    };
-
-    for (const Config &config : configs) {
+    for (const TopologyConfig &config : topologyMatrix) {
         EventQueue eq;
         NocParams params = smallRing();
         params.placement = config.placement;
@@ -611,6 +613,70 @@ TEST(TopologyNetwork, PerPairFifoUnderRandomTrafficAllTopologies)
         }
         eq.run();
         EXPECT_FALSE(sink.lastSeq.empty());
+    }
+}
+
+/**
+ * The route geometry of every topology x placement above, pinned as
+ * numbers: the sum of hopCount over every ordered (src, dst) node
+ * pair, and an order-sensitive digest of one lone 48-byte message per
+ * pair on a fresh network — its delivery cycle, then the indices of
+ * the links it crossed. Without contention a lone message arrives at
+ * inject + ser + hops * hopLatency (inject + fixedLatency + ser on
+ * Fixed), so the digest pins every route's length and link set; the
+ * golden decode stats pin the crossing order under contention.
+ */
+TEST(TopologyNetwork, RouteGeometryMatchesPinnedDigests)
+{
+    struct Pinned
+    {
+        std::uint64_t hopSum;
+        std::uint64_t deliveryDigest;
+    };
+    const Pinned pinned[] = {
+        {13614, 6793766833414680554ull},  // ring, adjacent
+        {13614, 18344569067073148854ull}, // ring, spread
+        {11306, 16462694618644690587ull}, // mesh, spread
+        {11320, 2511905566611486410ull},  // mesh, random
+        {0, 16790952164897306521ull},     // fixed, adjacent
+    };
+
+    const NocParams params = smallRing();
+    const auto nodes = static_cast<NodeId>(
+        params.numCores + params.numFrontendTiles + params.numL2Banks +
+        params.numMemCtrls);
+    for (std::size_t c = 0; c < std::size(topologyMatrix); ++c) {
+        const TopologyConfig &config = topologyMatrix[c];
+        NocParams p = params;
+        p.placement = config.placement;
+
+        EventQueue hop_eq;
+        auto hops = makeTopology(config.topology, "noc", hop_eq, p);
+        std::uint64_t hop_sum = 0;
+        std::uint64_t digest = 0xcbf29ce484222325ull; // FNV-1a
+        for (NodeId src = 0; src < nodes; ++src) {
+            for (NodeId dst = 0; dst < nodes; ++dst) {
+                hop_sum += hops->hopCount(src, dst);
+
+                EventQueue eq;
+                auto net = makeTopology(config.topology, "noc", eq, p);
+                Sink sink(eq);
+                net->attach(dst, sink);
+                net->send(std::make_unique<Message>(src, dst, 48));
+                eq.run();
+                ASSERT_EQ(sink.arrivals.size(), 1u);
+                auto fold = [&digest](std::uint64_t v) {
+                    digest = (digest ^ v) * 0x100000001b3ull;
+                };
+                fold(sink.arrivals[0]);
+                std::vector<std::uint64_t> crossed = net->linkTraversals();
+                for (std::size_t link = 0; link < crossed.size(); ++link)
+                    if (crossed[link] != 0)
+                        fold(link);
+            }
+        }
+        EXPECT_EQ(hop_sum, pinned[c].hopSum) << "config " << c;
+        EXPECT_EQ(digest, pinned[c].deliveryDigest) << "config " << c;
     }
 }
 

@@ -255,9 +255,10 @@ TEST(Serve, OverWideSubmissionsRejectedNotFatal)
  *  a normal job. */
 void
 expectRejectedThenServes(const std::string &bad_text,
-                         const TaskTrace &bad_trace)
+                         const TaskTrace &bad_trace,
+                         const ServeConfig &cfg = tinyServeConfig())
 {
-    TraceService service(tinyServeConfig());
+    TraceService service(cfg);
     TenantId tenant = service.openTenant("hostile");
     ASSERT_EQ(service.submitText(tenant, bad_text).status,
               SubmitStatus::Accepted);
@@ -302,6 +303,34 @@ TEST(Serve, WrappingOperandRejectedNotFatal)
     EXPECT_FALSE(validateTrace(wrap));
     wrap.tasks[0].operands[0].bytes = 0x3f;
     EXPECT_TRUE(validateTrace(wrap));
+}
+
+TEST(Serve, OperandPastRenameBucketRejectedNotFatal)
+{
+    // out / in / out on one 2 MiB object: the second write renames
+    // it into an OVT buffer larger than the largest rename bucket,
+    // which once panicked the daemon at its default carve.
+    ServeConfig cfg;
+    cfg.machine.numCores = 8;
+    constexpr Bytes big = 2u << 20;
+    TaskTrace rename;
+    rename.name = "rename";
+    auto kernel = rename.addKernel("k");
+    TaskBuilder b(rename);
+    std::uint64_t obj = 0x5000'0000;
+    b.begin(kernel, 400).out(obj, big);
+    b.commit();
+    b.begin(kernel, 400).in(obj, big);
+    b.commit();
+    b.begin(kernel, 400).out(obj, big);
+    b.commit();
+    expectRejectedThenServes(formatTraceText(rename), rename, cfg);
+
+    TaskTrace edge = chainProgram(2, 0x5000'0000);
+    edge.tasks[0].operands[0].bytes = BucketAllocator::largestBucket + 1;
+    EXPECT_FALSE(validateTrace(edge));
+    edge.tasks[0].operands[0].bytes = BucketAllocator::largestBucket;
+    EXPECT_TRUE(validateTrace(edge));
 }
 
 TEST(Serve, CarveOverflowRejected)

@@ -25,6 +25,7 @@
 #include "core/system.hh"
 #include "driver/experiment.hh"
 #include "noc/network.hh"
+#include "noc/topology.hh"
 #include "sim/random.hh"
 #include "sim/sim_engine.hh"
 #include "workload/builder.hh"
@@ -704,17 +705,19 @@ TEST(SimEngine, ConcurrentSystemsAreIndependent)
                         "concurrent run " + std::to_string(i));
 }
 
-TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
+/**
+ * Stations @p a and @p b, in two domains, keep eight messages each
+ * bouncing forever over @p net, so most windows have both domains
+ * active and every window defers sends to its barrier. Once the
+ * queues, message pools, defer logs, the barrier buffer and the
+ * network's per-pair state are warm, windows must run without a
+ * single heap allocation.
+ */
+void
+expectWarmWindowsDoNotAllocate(SimEngine &engine, Network &net, NodeId a,
+                               NodeId b)
 {
-    // Two stations in two domains keep eight messages each bouncing
-    // forever, so most windows have both domains active and every
-    // window defers sends to its barrier. Once the queues, message
-    // pools, defer logs and the barrier buffer are warm, windows must
-    // run without a single heap allocation.
-    constexpr Cycle latency = 3;
-    SimEngine engine(2);
     EventQueue &q = engine.queue();
-    SimpleNetwork net("net", q, latency);
     engine.setLookahead(net.minDeliveryDelay());
 
     struct Echo : Endpoint
@@ -729,19 +732,19 @@ TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
         }
     };
 
-    Echo a, b;
-    a.net = b.net = &net;
-    a.self = 0;
-    b.self = 1;
-    net.attach(0, a);
-    net.attach(1, b);
-    q.setDomain(1, 1);
+    Echo echo_a, echo_b;
+    echo_a.net = echo_b.net = &net;
+    echo_a.self = a;
+    echo_b.self = b;
+    net.attach(a, echo_a);
+    net.attach(b, echo_b);
+    q.setDomain(b, 1);
     for (Cycle t = 1; t <= 8; ++t) {
-        q.scheduleStation(t, 0, [&net] {
-            net.send(std::make_unique<Message>(0, 1, 16));
+        q.scheduleStation(t, a, [&net, a, b] {
+            net.send(std::make_unique<Message>(a, b, 16));
         });
-        q.scheduleStation(t, 1, [&net] {
-            net.send(std::make_unique<Message>(1, 0, 16));
+        q.scheduleStation(t, b, [&net, a, b] {
+            net.send(std::make_unique<Message>(b, a, 16));
         });
     }
 
@@ -758,6 +761,27 @@ TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
     EXPECT_GE(engine.executed() - events, 50000u);
     EXPECT_GT(engine.windowStats().windows - windows, 1000u);
     EXPECT_GT(engine.windowStats().multiDomain - multi, 1000u);
+}
+
+TEST(SimEngine, WarmWindowBarriersDoNotAllocate)
+{
+    {
+        SimEngine engine(2);
+        SimpleNetwork net("net", engine.queue(), 3);
+        expectWarmWindowsDoNotAllocate(engine, net, 0, 1);
+    }
+
+    // The same echo pair as neighbouring cores of the paper's ring.
+    // Each direction's route is built on its first message; after
+    // that a send allocates nothing either. (The two cores' one-hop
+    // delay equals the lookahead, so both domains stay active in
+    // most windows, as above.)
+    SimEngine engine(2);
+    NocParams p;
+    p.numCores = 8;
+    auto ring = makeTopology(TopologyKind::Ring, "noc", engine.queue(), p);
+    expectWarmWindowsDoNotAllocate(engine, *ring, ring->coreNode(0),
+                                   ring->coreNode(1));
 }
 
 } // namespace

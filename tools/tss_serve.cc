@@ -30,7 +30,8 @@
  * flight-recorder tail) lands in the Stats report.
  *
  * Worker and queue counts must lie in [1, 256] and [1, 2^32 - 1],
- * and --carve-mb must be at least 1 and fit 64 bits in bytes; any
+ * --carve-mb must be at least 1 and fit 64 bits in bytes, and
+ * --max-events-per-job (absent: no budget) must be at least 1; any
  * other value exits non-zero before the service starts.
  */
 
@@ -74,9 +75,8 @@ main(int argc, char **argv)
         args.getBounded("carve-mb", 1, UINT64_MAX >> 20).value_or(256);
     cfg.carveBytes = carve_mb << 20;
     cfg.recordJobTraces = args.has("job-traces");
-    long max_events = args.getLong("max-events-per-job", 0);
-    if (max_events > 0)
-        cfg.maxEventsPerJob = static_cast<std::uint64_t>(max_events);
+    if (auto budget = args.getBounded("max-events-per-job", 1, UINT64_MAX))
+        cfg.maxEventsPerJob = *budget;
 
     std::string socket_path =
         args.get("socket", "/tmp/tss-serve.sock");
